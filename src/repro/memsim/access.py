@@ -85,21 +85,7 @@ class AccessTrace:
         cache (as hits); alignment itself models the transaction
         granularity: a 4-byte touch still moves a whole sector.
         """
-        if sector_bytes <= 0:
-            raise SimulationError("sector_bytes must be positive")
-        if self.num_accesses == 0:
-            return np.array([], dtype=np.int64)
-        first = self.addresses // sector_bytes
-        last = (self.addresses + np.maximum(self.lengths, 1) - 1) // sector_bytes
-        counts = (last - first + 1).astype(np.int64)
-        total = int(counts.sum())
-        out = np.empty(total, dtype=np.int64)
-        # repeat + cumulative offsets trick: sector index within each row
-        row_starts = np.repeat(first, counts)
-        offsets = np.arange(total) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        out = (row_starts + offsets) * sector_bytes
-        return out
+        return expand_sectors([self], sector_bytes)[0]
 
     @staticmethod
     def concatenate(traces: List["AccessTrace"]) -> "AccessTrace":
@@ -109,6 +95,35 @@ class AccessTrace:
         return AccessTrace(
             np.concatenate([t.addresses for t in traces]),
             np.concatenate([t.lengths for t in traces]))
+
+
+def expand_sectors(traces: List[Optional[AccessTrace]], sector_bytes: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sector addresses of ``traces`` back to back, in one expansion.
+
+    Returns ``(sectors, ends)``: ``ends[i]`` is the offset in ``sectors``
+    where trace ``i`` ends (``None`` and empty traces end where the
+    previous one did), ready for segmented
+    :meth:`~repro.memsim.cache.LRUCache.access_trace`.
+    """
+    if sector_bytes <= 0:
+        raise SimulationError("sector_bytes must be positive")
+    present = [t for t in traces if t is not None and t.num_accesses]
+    row_ends = np.cumsum([t.num_accesses if t is not None else 0
+                          for t in traces], dtype=np.int64)
+    if not present:
+        return np.array([], dtype=np.int64), np.zeros(len(traces), np.int64)
+    addresses = np.concatenate([t.addresses for t in present])
+    lengths = np.concatenate([t.lengths for t in present])
+    first = addresses // sector_bytes
+    last = (addresses + np.maximum(lengths, 1) - 1) // sector_bytes
+    counts = last - first + 1
+    row_starts = np.concatenate([[0], np.cumsum(counts)])
+    total = int(row_starts[-1])
+    # repeat + cumulative offsets trick: sector index within each row
+    offsets = np.arange(total) - np.repeat(row_starts[:-1], counts)
+    sectors = (np.repeat(first, counts) + offsets) * sector_bytes
+    return sectors, row_starts[row_ends]
 
 
 def row_gather_trace(base: int, row_indices: np.ndarray,

@@ -16,13 +16,13 @@ fixed launch cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.memsim.cache import LRUCache
-from repro.memsim.access import AccessTrace
+from repro.memsim.access import AccessTrace, expand_sectors
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,20 @@ class KernelStats:
         return self.load_transactions + self.store_transactions
 
 
+class KernelLaunch(NamedTuple):
+    """The arguments of one :meth:`GPUDevice.run_kernel` call, kept for
+    :meth:`GPUDevice.run_batch` (fields in ``run_kernel`` order)."""
+
+    name: str
+    flops: float
+    loads: Optional[AccessTrace] = None
+    stores: Optional[AccessTrace] = None
+    atomic_stores: bool = False
+    efficiency: Optional[float] = None
+    imbalance: float = 1.0
+    parallel_items: Optional[float] = None
+
+
 class GPUDevice:
     """Executes :class:`~repro.memsim.access.AccessTrace`-bearing kernels.
 
@@ -133,7 +147,7 @@ class GPUDevice:
         if spec.sector_bytes <= 0 or spec.l2_bytes <= 0:
             raise SimulationError("device spec must have positive cache sizes")
         self.spec = spec
-        self.l2 = LRUCache(spec.l2_bytes, spec.sector_bytes, spec.l2_associativity)
+        self.reset()
 
     def reset(self) -> None:
         """Cold-start the L2 (between unrelated experiments)."""
@@ -141,9 +155,23 @@ class GPUDevice:
                            self.spec.l2_associativity)
 
     # ------------------------------------------------------------------
-    def _trace_time(self, trace: Optional[AccessTrace],
+    def _l2_traffic(self, traces: Sequence[Optional[AccessTrace]]
+                   ) -> List[Dict[str, float]]:
+        """Run ``traces``, in order, through the L2 in one pass.
+
+        Returns one dict per trace: its cache statistics plus ``tx``
+        (sectors) and ``useful`` (bytes), exactly as if each trace had
+        gone through the cache on its own.
+        """
+        sectors, ends = expand_sectors(traces, self.spec.sector_bytes)
+        stats = self.l2.access_trace(sectors, ends)
+        tx = np.diff(ends, prepend=0).tolist()
+        return [dict(s, tx=n, useful=float(t.total_bytes) if n else 0.0)
+                for s, n, t in zip(stats, tx, traces)]
+
+    def _trace_time(self, traffic: Dict[str, float],
                     is_store: bool) -> Dict[str, float]:
-        """Run one trace through the L2 and price its DRAM traffic.
+        """Price one trace's L2 traffic (from :meth:`_l2_traffic`).
 
         Effective DRAM bandwidth follows a row-buffer model: a maximal
         run of consecutive missed lines pays one activation (worth
@@ -152,24 +180,23 @@ class GPUDevice:
         of it.
         """
         spec = self.spec
-        if trace is None or trace.num_accesses == 0:
+        num_tx = traffic["tx"]
+        if num_tx == 0:
             return {"tx": 0, "hits": 0, "misses": 0, "useful": 0.0,
                     "dram": 0.0, "time": 0.0}
-        sectors = trace.sector_addresses(spec.sector_bytes)
-        stats = self.l2.access_trace(sectors)
-        hits, misses = stats["hits"], stats["misses"]
-        effective_tx = max(len(sectors) - stats["repeat_all"], 0)
-        tx_runs = max(effective_tx - stats["seq_all"], 1)
+        hits, misses = traffic["hits"], traffic["misses"]
+        effective_tx = max(num_tx - traffic["repeat_all"], 0)
+        tx_runs = max(effective_tx - traffic["seq_all"], 1)
         tx_avg_run = effective_tx / tx_runs if effective_tx else 1.0
         if is_store:
             # Every stored byte eventually reaches DRAM as writeback;
             # contiguous dirty lines stream out at row-buffer speed, so
             # the store stream's own contiguity sets the DRAM efficiency.
-            dram_bytes = len(sectors) * spec.sector_bytes
+            dram_bytes = num_tx * spec.sector_bytes
             run_for_dram = tx_avg_run
         else:
             dram_bytes = misses * spec.sector_bytes
-            miss_runs = max(misses - stats["seq_misses"], 1)
+            miss_runs = max(misses - traffic["seq_misses"], 1)
             run_for_dram = misses / miss_runs if misses else 1.0
         bw_scale = run_for_dram / (run_for_dram + spec.row_activation_lines)
         t_dram = dram_bytes / (spec.dram_bandwidth * max(bw_scale, 1e-3))
@@ -184,10 +211,26 @@ class GPUDevice:
         # warp scheduler can only partially overlap.  Streams have ~one
         # run and pay nothing; scattered row fetches pay per row.
         t_gap = tx_runs * spec.scatter_gap_ns * 1e-9 / spec.scatter_parallelism
-        return {"tx": len(sectors), "hits": hits, "misses": misses,
-                "useful": float(trace.total_bytes),
+        return {"tx": num_tx, "hits": hits, "misses": misses,
+                "useful": traffic["useful"],
                 "dram": float(dram_bytes),
                 "time": max(t_dram, t_latency, t_l2) + t_gap}
+
+    def run_batch(self, launches: Sequence[Union[KernelLaunch, KernelStats]]
+                  ) -> List[KernelStats]:
+        """Price a batch of launches with one L2 pass over all their traces.
+
+        ``launches`` is in launch order; :class:`KernelStats` entries
+        (memcpys, which bypass the L2) pass through in place.  Each
+        kernel is then priced by :meth:`run_kernel`, so the result equals
+        launching the kernels one at a time.
+        """
+        kernels = [k for k in launches if isinstance(k, KernelLaunch)]
+        stats = iter(self._l2_traffic(
+            [t for k in kernels for t in (k.loads, k.stores)]))
+        return [self.run_kernel(*item, traffic=(next(stats), next(stats)))
+                if isinstance(item, KernelLaunch) else item
+                for item in launches]
 
     def run_kernel(self, name: str, flops: float,
                    loads: Optional[AccessTrace] = None,
@@ -195,7 +238,8 @@ class GPUDevice:
                    atomic_stores: bool = False,
                    efficiency: Optional[float] = None,
                    imbalance: float = 1.0,
-                   parallel_items: Optional[float] = None) -> KernelStats:
+                   parallel_items: Optional[float] = None,
+                   traffic: Optional[tuple] = None) -> KernelStats:
         """Time one kernel from its compute volume and memory traces.
 
         Roofline timing with refinements profiled GNN kernels need:
@@ -209,10 +253,15 @@ class GPUDevice:
         * SM efficiency is the *ideal* kernel time (same useful bytes,
           perfectly coalesced, balanced) over the achieved time, which
           reproduces how sgemm/cub/dgl separate in nvprof.
+
+        ``traffic`` is the kernel's ``(loads, stores)`` L2 statistics
+        when :meth:`run_batch` has already run them through the L2.
         """
         spec = self.spec
-        lstat = self._trace_time(loads, is_store=False)
-        sstat = self._trace_time(stores, is_store=True)
+        load_traffic, store_traffic = \
+            traffic or self._l2_traffic([loads, stores])
+        lstat = self._trace_time(load_traffic, is_store=False)
+        sstat = self._trace_time(store_traffic, is_store=True)
 
         # Occupancy: a kernel with too little parallel work cannot fill
         # the device, stretching its compute phase (small cub sorts, tiny
@@ -220,8 +269,8 @@ class GPUDevice:
         if parallel_items is None:
             utilization = 1.0
         else:
-            utilization = float(np.clip(
-                parallel_items / spec.saturation_items, 0.02, 1.0))
+            utilization = float(min(max(
+                parallel_items / spec.saturation_items, 0.02), 1.0))
 
         eff = efficiency if efficiency is not None else 1.0
         t_compute_full = flops / (spec.peak_flops * eff) if flops > 0 else 0.0
@@ -257,8 +306,8 @@ class GPUDevice:
             l2_hits=int(lstat["hits"] + sstat["hits"]),
             l2_misses=int(lstat["misses"] + sstat["misses"]),
             dram_bytes=lstat["dram"] + sstat["dram"],
-            sm_efficiency=float(np.clip(sm_eff, 0.0, 1.0)),
-            memory_stall_pct=float(np.clip(stall, 0.0, 1.0)))
+            sm_efficiency=float(min(max(sm_eff, 0.0), 1.0)),
+            memory_stall_pct=float(min(max(stall, 0.0), 1.0)))
 
     def memcpy(self, nbytes: float, name: str = "Memcpy") -> KernelStats:
         """Host<->device copy over PCIe."""
@@ -268,3 +317,32 @@ class GPUDevice:
             load_transactions=0, store_transactions=0,
             l2_hits=0, l2_misses=0, dram_bytes=float(nbytes),
             sm_efficiency=0.0, memory_stall_pct=1.0)
+
+
+class LaunchRecorder:
+    """Stands in for a :class:`GPUDevice` while one batch is planned.
+
+    Kernel builders (:mod:`repro.memsim.kernels`) call ``run_kernel``
+    on it as on a device; the launch is kept, not priced.  Memcpys
+    bypass the L2, so they are priced at once and kept in place.
+    :meth:`finish` prices everything with one :meth:`GPUDevice.run_batch`
+    pass and returns the records in launch order.
+    """
+
+    def __init__(self, device: GPUDevice):
+        self.device = device
+        self.spec = device.spec
+        self.launches: List[Union[KernelLaunch, KernelStats]] = []
+
+    def run_kernel(self, *args, **kwargs) -> KernelLaunch:
+        launch = KernelLaunch(*args, **kwargs)
+        self.launches.append(launch)
+        return launch
+
+    def memcpy(self, nbytes: float, name: str = "Memcpy") -> KernelStats:
+        stats = self.device.memcpy(nbytes, name=name)
+        self.launches.append(stats)
+        return stats
+
+    def finish(self) -> List[KernelStats]:
+        return self.device.run_batch(self.launches)

@@ -1,10 +1,12 @@
 """Kernel cost models: the GPU-side vocabulary of GNN training.
 
 Each function executes one simulated kernel on a :class:`GPUDevice` and
-returns its :class:`KernelStats`.  Kernel names follow the paper's
-profiling nomenclature: ``sgemm`` (dense linear projection), ``dgl``
-(graph gather/scatter), ``cub`` (index sorting), ``elementwise`` (neural
-pointwise ops), ``Memcpy`` — plus MEGA's ``band`` kernels.
+returns its :class:`KernelStats`.  Given a ``LaunchRecorder`` instead,
+it records the launch for batch costing (see
+:func:`repro.models.kernel_plans.simulate_batch`).  Kernel names follow
+the paper's profiling nomenclature: ``sgemm`` (dense linear projection),
+``dgl`` (graph gather/scatter), ``cub`` (index sorting), ``elementwise``
+(neural pointwise ops), ``Memcpy`` — plus MEGA's ``band`` kernels.
 """
 
 from __future__ import annotations

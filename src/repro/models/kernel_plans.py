@@ -29,7 +29,7 @@ from repro.memsim.access import (
     row_gather_trace,
     sequential_trace,
 )
-from repro.memsim.device import GPUDevice, KernelStats
+from repro.memsim.device import GPUDevice, KernelLaunch, LaunchRecorder
 from repro.memsim.kernels import FLOAT_BYTES, cub_sort, memcpy, sgemm
 from repro.memsim.profiler import Profiler
 from repro.models.runtime import AggregationRuntime, BaselineRuntime, MegaRuntime
@@ -73,9 +73,9 @@ def _imbalance(msg_dst: np.ndarray, num_nodes: int) -> float:
 # ----------------------------------------------------------------------
 # Baseline (DGL-style) kernels
 # ----------------------------------------------------------------------
-def _baseline_apply_edges(device: GPUDevice, layout: MemoryLayout,
+def _baseline_apply_edges(device: LaunchRecorder, layout: MemoryLayout,
                           rt: BaselineRuntime, dim: int,
-                          operands: int = 2) -> KernelStats:
+                          operands: int = 2) -> KernelLaunch:
     """apply_edges: read ``operands`` scattered node rows per message.
 
     Edge-feature rows are reached through the edge-id indirection left
@@ -97,8 +97,8 @@ def _baseline_apply_edges(device: GPUDevice, layout: MemoryLayout,
                              parallel_items=rt.num_messages * dim)
 
 
-def _baseline_edge_op(device: GPUDevice, layout: MemoryLayout,
-                      rt: BaselineRuntime, dim: int) -> KernelStats:
+def _baseline_edge_op(device: LaunchRecorder, layout: MemoryLayout,
+                      rt: BaselineRuntime, dim: int) -> KernelLaunch:
     """Edge-only apply_edges: per-message op through the id indirection."""
     row = dim * FLOAT_BYTES
     loads = row_gather_trace(layout.base("edges"), rt.msg_edge, row)
@@ -108,9 +108,9 @@ def _baseline_edge_op(device: GPUDevice, layout: MemoryLayout,
                              parallel_items=rt.num_messages * dim)
 
 
-def _baseline_update_all(device: GPUDevice, layout: MemoryLayout,
+def _baseline_update_all(device: LaunchRecorder, layout: MemoryLayout,
                          rt: BaselineRuntime, dim: int,
-                         with_src: bool) -> KernelStats:
+                         with_src: bool) -> KernelLaunch:
     """update_all: edge values (× source rows) reduced onto dst nodes."""
     row = dim * FLOAT_BYTES
     parts = [sequential_trace(layout.base("edges"), rt.num_messages * row)]
@@ -126,9 +126,9 @@ def _baseline_update_all(device: GPUDevice, layout: MemoryLayout,
         parallel_items=rt.num_messages * dim)
 
 
-def _elementwise(device: GPUDevice, layout: MemoryLayout, region: str,
+def _elementwise(device: LaunchRecorder, layout: MemoryLayout, region: str,
                  rows: int, dim: int, flops_per_element: float = 6.0
-                 ) -> KernelStats:
+                 ) -> KernelLaunch:
     nbytes = max(rows, 1) * dim * FLOAT_BYTES
     loads = sequential_trace(layout.base(region), nbytes)
     stores = sequential_trace(layout.base(region), nbytes)
@@ -167,9 +167,9 @@ def _band_sweep_loads(layout: MemoryLayout, rt: MegaRuntime,
     return AccessTrace.concatenate(parts)
 
 
-def _mega_band_kernel(device: GPUDevice, layout: MemoryLayout,
+def _mega_band_kernel(device: LaunchRecorder, layout: MemoryLayout,
                       rt: MegaRuntime, dim: int, operands: int,
-                      name: str = "mega::band") -> KernelStats:
+                      name: str = "mega::band") -> KernelLaunch:
     """Banded edge computation over a tiled sequential path sweep."""
     row = dim * FLOAT_BYTES
     loads = _band_sweep_loads(layout, rt, row, with_edges=True)
@@ -179,9 +179,9 @@ def _mega_band_kernel(device: GPUDevice, layout: MemoryLayout,
                              parallel_items=rt.path_length * dim)
 
 
-def _mega_band_reduce(device: GPUDevice, layout: MemoryLayout,
+def _mega_band_reduce(device: LaunchRecorder, layout: MemoryLayout,
                       rt: MegaRuntime, dim: int,
-                      with_src: bool) -> KernelStats:
+                      with_src: bool) -> KernelLaunch:
     """Band aggregation: per-position reduction along the diagonal.
 
     Messages are destination-position sorted, so the store side is a
@@ -197,8 +197,8 @@ def _mega_band_reduce(device: GPUDevice, layout: MemoryLayout,
                              parallel_items=rt.path_length * dim)
 
 
-def _mega_sync(device: GPUDevice, layout: MemoryLayout, rt: MegaRuntime,
-               dim: int) -> KernelStats:
+def _mega_sync(device: LaunchRecorder, layout: MemoryLayout, rt: MegaRuntime,
+               dim: int) -> KernelLaunch:
     """Position→node reduction synchronising repeated appearances."""
     row = dim * FLOAT_BYTES
     loads = sequential_trace(layout.base("path"), rt.path_length * row)
@@ -218,8 +218,10 @@ def simulate_batch(model_name: str, runtime: AggregationRuntime,
                    include_h2d: bool = True) -> Profiler:
     """Replay one forward batch of ``model_name`` under ``runtime``.
 
-    ``model_name`` is ``"GCN"`` or ``"GT"``.  Returns the profiler with
-    all kernel records appended.
+    ``model_name`` is ``"GCN"``, ``"GT"`` or ``"GAT"``.  The batch's
+    launches are collected first and priced together, with one L2 pass
+    over all their traces (:meth:`GPUDevice.run_batch`).  Returns the
+    profiler with all kernel records appended in launch order.
     """
     if model_name not in ("GCN", "GT", "GAT"):
         raise SimulationError(f"unknown model {model_name!r}")
@@ -231,114 +233,108 @@ def simulate_batch(model_name: str, runtime: AggregationRuntime,
     params_per_layer = {"GCN": 5, "GT": 14, "GAT": 2}[model_name]
     params = params_per_layer * dim * dim * num_layers
     layout = make_layout(n, m, length if is_mega else 1, dim, params)
+    plan = LaunchRecorder(device)
 
     if include_h2d:
         # Features + topology (baseline) or path buffers (MEGA).
         nbytes = (length + m) * dim * FLOAT_BYTES + m * 16
-        profiler.record(memcpy(device, nbytes))
+        memcpy(plan, nbytes)
     if not is_mega:
         # DGL sorts edge indices per batch to fetch neighbours quickly.
-        profiler.record(cub_sort(device, layout, m))
+        cub_sort(plan, layout, m)
 
     node_rows = length if is_mega else n  # neural ops run on the path copy
     for _ in range(num_layers):
         if model_name == "GCN":
-            _plan_gcn_layer(profiler, device, layout, runtime, dim,
-                            node_rows, is_mega)
+            _plan_gcn_layer(plan, layout, runtime, dim, node_rows, is_mega)
         elif model_name == "GAT":
-            _plan_gat_layer(profiler, device, layout, runtime, dim,
-                            node_rows, is_mega)
+            _plan_gat_layer(plan, layout, runtime, dim, node_rows, is_mega)
         else:
-            _plan_gt_layer(profiler, device, layout, runtime, dim,
-                           node_rows, is_mega)
+            _plan_gt_layer(plan, layout, runtime, dim, node_rows, is_mega)
     # Readout + head.
-    profiler.record(sgemm(device, layout, max(n // 4, 1), dim, dim))
-    profiler.record(_elementwise(device, layout, "nodes", n, dim))
+    sgemm(plan, layout, max(n // 4, 1), dim, dim)
+    _elementwise(plan, layout, "nodes", n, dim)
+    profiler.extend(plan.finish())
     return profiler
 
 
-def _plan_gcn_layer(prof: Profiler, device: GPUDevice, layout: MemoryLayout,
+def _plan_gcn_layer(device: LaunchRecorder, layout: MemoryLayout,
                     rt: AggregationRuntime, dim: int, node_rows: int,
                     is_mega: bool) -> None:
     # Projections A, B, U, V on node rows; C on message rows.
     for _ in range(4):
-        prof.record(sgemm(device, layout, node_rows, dim, dim))
-    prof.record(sgemm(device, layout, rt.num_messages, dim, dim))
+        sgemm(device, layout, node_rows, dim, dim)
+    sgemm(device, layout, rt.num_messages, dim, dim)
     if is_mega:
         # Edge update + sigmoid fused into one banded sweep; the two
         # gated reductions sweep the band again; one sync kernel.
-        prof.record(_mega_band_kernel(device, layout, rt, dim, operands=2))
-        prof.record(_mega_band_reduce(device, layout, rt, dim, with_src=True))
-        prof.record(_mega_band_reduce(device, layout, rt, dim, with_src=False))
-        prof.record(_mega_sync(device, layout, rt, dim))
+        _mega_band_kernel(device, layout, rt, dim, operands=2)
+        _mega_band_reduce(device, layout, rt, dim, with_src=True)
+        _mega_band_reduce(device, layout, rt, dim, with_src=False)
+        _mega_sync(device, layout, rt, dim)
     else:
-        prof.record(_baseline_apply_edges(device, layout, rt, dim, operands=2))
-        prof.record(_elementwise(device, layout, "edges", rt.num_messages, dim))
-        prof.record(_baseline_update_all(device, layout, rt, dim, with_src=True))
-        prof.record(_baseline_update_all(device, layout, rt, dim, with_src=False))
+        _baseline_apply_edges(device, layout, rt, dim, operands=2)
+        _elementwise(device, layout, "edges", rt.num_messages, dim)
+        _baseline_update_all(device, layout, rt, dim, with_src=True)
+        _baseline_update_all(device, layout, rt, dim, with_src=False)
     # BN/ReLU/residual on nodes and edges.
-    prof.record(_elementwise(device, layout, "nodes", node_rows, dim))
-    prof.record(_elementwise(device, layout, "edges", rt.num_messages, dim))
+    _elementwise(device, layout, "nodes", node_rows, dim)
+    _elementwise(device, layout, "edges", rt.num_messages, dim)
 
 
-def _plan_gat_layer(prof: Profiler, device: GPUDevice, layout: MemoryLayout,
+def _plan_gat_layer(device: LaunchRecorder, layout: MemoryLayout,
                     rt: AggregationRuntime, dim: int, node_rows: int,
                     is_mega: bool) -> None:
     """GAT: one projection, one score scatter, softmax + weighted gather."""
-    prof.record(sgemm(device, layout, node_rows, dim, dim))
-    prof.record(_elementwise(device, layout, "nodes", node_rows, dim))
+    sgemm(device, layout, node_rows, dim, dim)
+    _elementwise(device, layout, "nodes", node_rows, dim)
     if is_mega:
-        prof.record(_mega_band_kernel(device, layout, rt, dim, operands=2))
-        prof.record(_mega_band_reduce(device, layout, rt, dim,
-                                      with_src=False))
-        prof.record(_mega_band_reduce(device, layout, rt, dim,
-                                      with_src=True))
-        prof.record(_mega_sync(device, layout, rt, dim))
+        _mega_band_kernel(device, layout, rt, dim, operands=2)
+        _mega_band_reduce(device, layout, rt, dim, with_src=False)
+        _mega_band_reduce(device, layout, rt, dim, with_src=True)
+        _mega_sync(device, layout, rt, dim)
     else:
-        prof.record(_baseline_apply_edges(device, layout, rt, dim,
-                                          operands=2))
-        prof.record(_baseline_update_all(device, layout, rt, dim,
-                                         with_src=False))
-        prof.record(_baseline_update_all(device, layout, rt, dim,
-                                         with_src=True))
-    prof.record(_elementwise(device, layout, "nodes", node_rows, dim))
+        _baseline_apply_edges(device, layout, rt, dim, operands=2)
+        _baseline_update_all(device, layout, rt, dim, with_src=False)
+        _baseline_update_all(device, layout, rt, dim, with_src=True)
+    _elementwise(device, layout, "nodes", node_rows, dim)
 
 
-def _plan_gt_layer(prof: Profiler, device: GPUDevice, layout: MemoryLayout,
+def _plan_gt_layer(device: LaunchRecorder, layout: MemoryLayout,
                    rt: AggregationRuntime, dim: int, node_rows: int,
                    is_mega: bool) -> None:
     # Q, K, V, O on node rows; E, O_e on message rows; FFNs on both.
     for _ in range(4):
-        prof.record(sgemm(device, layout, node_rows, dim, dim))
+        sgemm(device, layout, node_rows, dim, dim)
     for _ in range(2):
-        prof.record(sgemm(device, layout, rt.num_messages, dim, dim))
+        sgemm(device, layout, rt.num_messages, dim, dim)
     # FFN h: d->2d->d ; FFN e: d->2d->d.
     for _ in range(2):
-        prof.record(sgemm(device, layout, node_rows, 2 * dim, dim))
+        sgemm(device, layout, node_rows, 2 * dim, dim)
     for _ in range(2):
-        prof.record(sgemm(device, layout, rt.num_messages, 2 * dim, dim))
+        sgemm(device, layout, rt.num_messages, 2 * dim, dim)
     if is_mega:
         # Score computation, edge mixing and V-weighting fuse into two
         # banded sweeps; softmax + aggregation sweep the band again.
-        prof.record(_mega_band_kernel(device, layout, rt, dim, operands=2))
-        prof.record(_mega_band_kernel(device, layout, rt, dim, operands=1))
-        prof.record(_mega_band_reduce(device, layout, rt, dim, with_src=False))
-        prof.record(_mega_band_reduce(device, layout, rt, dim, with_src=True))
-        prof.record(_mega_sync(device, layout, rt, dim))
+        _mega_band_kernel(device, layout, rt, dim, operands=2)
+        _mega_band_kernel(device, layout, rt, dim, operands=1)
+        _mega_band_reduce(device, layout, rt, dim, with_src=False)
+        _mega_band_reduce(device, layout, rt, dim, with_src=True)
+        _mega_sync(device, layout, rt, dim)
     else:
         # Five apply_edges scatters (Table I): two fetch node rows, three
         # are edge-space ops routed through the edge-id indirection.
-        prof.record(_baseline_apply_edges(device, layout, rt, dim, operands=2))
-        prof.record(_baseline_edge_op(device, layout, rt, dim))
-        prof.record(_baseline_edge_op(device, layout, rt, dim))
-        prof.record(_baseline_apply_edges(device, layout, rt, dim, operands=1))
-        prof.record(_baseline_edge_op(device, layout, rt, dim))
+        _baseline_apply_edges(device, layout, rt, dim, operands=2)
+        _baseline_edge_op(device, layout, rt, dim)
+        _baseline_edge_op(device, layout, rt, dim)
+        _baseline_apply_edges(device, layout, rt, dim, operands=1)
+        _baseline_edge_op(device, layout, rt, dim)
         # ... and the two softmax/aggregate gathers.
-        prof.record(_baseline_update_all(device, layout, rt, dim, with_src=False))
-        prof.record(_baseline_update_all(device, layout, rt, dim, with_src=True))
+        _baseline_update_all(device, layout, rt, dim, with_src=False)
+        _baseline_update_all(device, layout, rt, dim, with_src=True)
     # Norm/residual + FFN activations.
-    prof.record(_elementwise(device, layout, "nodes", node_rows, dim))
-    prof.record(_elementwise(device, layout, "edges", rt.num_messages, dim))
+    _elementwise(device, layout, "nodes", node_rows, dim)
+    _elementwise(device, layout, "edges", rt.num_messages, dim)
 
 
 def batch_time(model_name: str, runtime: AggregationRuntime,

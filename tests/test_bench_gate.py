@@ -1,6 +1,6 @@
 """Tier-1 gate for the benchmark harness (mirrors the CI bench-smoke job).
 
-Three promises, enforced here so a PR cannot silently break them:
+Four promises, enforced here so a PR cannot silently break them:
 
 1. **Byte-identical replay**: running every registered workload twice
    with the same seed yields identical replay surfaces per area.
@@ -10,6 +10,10 @@ Three promises, enforced here so a PR cannot silently break them:
 3. **Docs stay honest**: every metric key documented in the
    ``docs/benchmarking.md`` reference tables appears in an emitted
    ledger, and every emitted key is documented.
+4. **Simulated results are exact**: the areas fed by the memsim cost
+   model reproduce the committed baselines' replay surfaces exactly,
+   not just within CI's 10% band.  ``train`` is left out: its losses
+   depend on the BLAS build.
 """
 
 import json
@@ -21,12 +25,15 @@ import pytest
 from repro.bench.cli import main as bench_main
 from repro.bench.compare import compare_ledgers
 from repro.bench.ledger import (AREAS, ledger_path, load_ledger,
-                                replay_bytes)
+                                replay_bytes, replay_surface)
 from repro.bench.runners import run_areas
 from repro.bench.workloads import WORKLOADS, workloads_for
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKING_MD = REPO_ROOT / "docs" / "benchmarking.md"
+BASELINES = REPO_ROOT / "benchmarks" / "baselines"
+#: Areas whose metrics all come from memsim and the simulated clock.
+SIMULATED_AREAS = ("kernels", "serve", "cluster", "stream")
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +64,13 @@ def test_same_seed_runs_are_byte_identical(two_runs, area):
     a = replay_bytes(load_ledger(ledger_path(first, area)))
     b = replay_bytes(load_ledger(ledger_path(second, area)))
     assert a == b, f"{area} replay surface differs between runs"
+
+
+@pytest.mark.parametrize("area", SIMULATED_AREAS)
+def test_simulated_areas_equal_committed_baselines(two_runs, area):
+    first, _ = two_runs
+    fresh = replay_surface(load_ledger(ledger_path(first, area)))
+    assert fresh == replay_surface(load_ledger(ledger_path(BASELINES, area)))
 
 
 def test_self_comparison_reports_zero_regressions(two_runs):
@@ -150,8 +164,7 @@ def test_docs_and_ledgers_agree_on_metric_keys(two_runs):
 
 
 def test_committed_baselines_match_current_schema():
-    baselines = REPO_ROOT / "benchmarks" / "baselines"
     for area in AREAS:
-        path = ledger_path(baselines, area)
+        path = ledger_path(BASELINES, area)
         assert path.is_file(), f"committed baseline missing: {path}"
         load_ledger(path)  # validates schema + structure
