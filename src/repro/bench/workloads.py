@@ -132,13 +132,13 @@ def run_pipeline_workload(seed: int) -> LedgerEntry:
 
 
 # ---------------------------------------------------------------------------
-# serve: the inference server under seeded open-loop load
+# serve: one serving replica (a 1-replica cluster) under open-loop load
 # ---------------------------------------------------------------------------
 
 def _serve_entry(name: str, kind: str, seed: int) -> LedgerEntry:
+    from repro.cluster import Cluster, ClusterConfig
     from repro.resilience import RetryPolicy
-    from repro.serve import (ArrivalProcess, BatchingPolicy,
-                             InferenceServer, ServerConfig,
+    from repro.serve import (ArrivalProcess, BatchingPolicy, ServerConfig,
                              generate_requests)
     from repro.train import build_model
 
@@ -148,21 +148,22 @@ def _serve_entry(name: str, kind: str, seed: int) -> LedgerEntry:
     pool = dataset.test[:6]
     process = ArrivalProcess(kind=kind, rate_rps=400.0, seed=seed)
     requests = generate_requests(pool, 64, process)
-    server = InferenceServer(
-        model,
-        config=ServerConfig(queue_capacity=16,
+    cluster = Cluster(model, ClusterConfig(
+        num_replicas=1,
+        server=ServerConfig(queue_capacity=16,
                             policy=BatchingPolicy(max_batch_size=8,
                                                   max_wait_s=0.02,
-                                                  bucket_width=16)))
-    result = server.run(requests,
-                        retry_policy=RetryPolicy(max_attempts=3))
-    stats = result.stats
+                                                  bucket_width=16))))
+    result = cluster.run(requests,
+                         retry_policy=RetryPolicy(max_attempts=3))
+    fleet = result.stats
+    stats = fleet.replicas[0].stats
     metrics = {
-        "received": stats.received,
-        "served": stats.served,
-        "rejected": stats.rejected,
-        "retried": stats.retried,
-        "dropped": stats.dropped,
+        "received": fleet.received,
+        "served": fleet.served,
+        "rejected": fleet.rejected,
+        "retried": fleet.retried,
+        "dropped": fleet.failed,
         "num_batches": len(stats.batches),
         "max_queue_depth": stats.max_queue_depth,
         "mean_queue_depth": stats.mean_queue_depth,
@@ -186,13 +187,13 @@ def _serve_entry(name: str, kind: str, seed: int) -> LedgerEntry:
 
 
 @_register("serve_poisson", "serve",
-           "InferenceServer under a seeded Poisson arrival stream")
+           "one serving replica under a seeded Poisson arrival stream")
 def run_serve_poisson(seed: int) -> LedgerEntry:
     return _serve_entry("serve_poisson", "poisson", seed)
 
 
 @_register("serve_bursty", "serve",
-           "InferenceServer under a bursty arrival stream (queue "
+           "one serving replica under a bursty arrival stream (queue "
            "pressure, rejections, retries)")
 def run_serve_bursty(seed: int) -> LedgerEntry:
     return _serve_entry("serve_bursty", "bursty", seed)

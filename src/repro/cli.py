@@ -7,7 +7,7 @@ preprocess  Build MEGA schedules for a dataset and save them to .npz.
 profile     nvprof-style kernel profile of one configuration.
 train       Train a model under a schedule; prints per-epoch history.
 compare     Baseline-vs-MEGA epoch time and convergence summary.
-serve       Serve a dataset's test split through the inference server.
+serve       Serve a dataset's test split through a 1-replica cluster.
 loadtest    Seeded Poisson/bursty load test; prints SLO metrics.
 cluster     Multi-replica loadtest: routing policies, tiered cache,
             seeded replica crashes and failover.
@@ -294,19 +294,6 @@ def _server_config(args: argparse.Namespace):
                               bucket_width=args.bucket_width))
 
 
-def _build_server(args: argparse.Namespace):
-    """(LoadedModel, InferenceServer) from parsed serve/loadtest args."""
-    from repro.pipeline import ScheduleCache
-    from repro.serve import InferenceServer
-
-    loaded = _load_cli_model(args)
-    cache_dir = _resolve_cache_dir(args)
-    cache = ScheduleCache(cache_dir) if cache_dir is not None else None
-    server = InferenceServer(loaded.model, cache=cache,
-                             config=_server_config(args))
-    return loaded, server
-
-
 def _cli_fault_plan(args: argparse.Namespace):
     """The seeded FaultPlan the cluster/stream flags describe, or None."""
     from repro.resilience import FaultPlan
@@ -341,7 +328,7 @@ def _cluster_config(args: argparse.Namespace):
 
 
 def _build_cluster(args: argparse.Namespace):
-    """(LoadedModel, Cluster) from parsed cluster/loadtest args."""
+    """(LoadedModel, Cluster) from parsed serve/loadtest/cluster args."""
     from repro.cluster import Cluster
     from repro.pipeline import ScheduleCache
 
@@ -352,26 +339,6 @@ def _build_cluster(args: argparse.Namespace):
         loaded.model, cache=cache, fault_plan=_cli_fault_plan(args),
         config=_cluster_config(args))
     return loaded, cluster
-
-
-def _print_serve_report(stats, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(stats.as_dict(), sort_keys=True, indent=2))
-        return
-    print(stats.summary_line())
-    print(f"  p50/p95/p99 latency: {stats.p50_latency_s * 1e3:.3f} / "
-          f"{stats.p95_latency_s * 1e3:.3f} / "
-          f"{stats.p99_latency_s * 1e3:.3f} ms")
-    print(f"  throughput: {stats.throughput_rps:.1f} req/s over "
-          f"{stats.sim_duration_s:.4f} simulated s")
-    print(f"  queue depth: mean {stats.mean_queue_depth:.2f}, "
-          f"max {stats.max_queue_depth}")
-    print(f"  batches: {len(stats.batches)}, occupancy "
-          f"{stats.mean_batch_occupancy:.2f}, padding waste "
-          f"{stats.mean_padding_waste:.3f}")
-    print(f"  schedule cache: {stats.cache.hits} hits / "
-          f"{stats.cache.misses} misses "
-          f"(hit rate {stats.schedule_hit_rate:.2f})")
 
 
 def _print_cluster_report(stats, as_json: bool) -> None:
@@ -417,7 +384,7 @@ def _print_cluster_report(stats, as_json: bool) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import InferenceRequest
 
-    loaded, server = _build_server(args)
+    loaded, cluster = _build_cluster(args)
     pool = loaded.dataset.test[:args.requests]
     if not pool:
         pool = loaded.dataset.test
@@ -425,7 +392,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     requests = [InferenceRequest(request_id=i, graph=pool[i % len(pool)],
                                  submitted_s=(i + 1) * gap)
                 for i in range(args.requests)]
-    result = server.run(requests)
+    result = cluster.run(requests)
     print(f"served {loaded.spec.model} on {loaded.spec.dataset} "
           f"(epoch {loaded.epoch} checkpoint)"
           if loaded.spec.checkpoint else
@@ -438,7 +405,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"  request {resp.request_id}: {shown}  "
               f"latency {resp.latency_s * 1e3:.3f} ms  "
               f"batch {resp.batch_id}")
-    _print_serve_report(result.stats, args.json)
+    _print_cluster_report(result.stats, args.json)
     return 0
 
 
@@ -446,11 +413,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     from repro.resilience import RetryPolicy
     from repro.serve import ArrivalProcess, generate_requests
 
-    clustered = args.replicas > 1
-    if clustered:
-        loaded, target = _build_cluster(args)
-    else:
-        loaded, target = _build_server(args)
+    loaded, cluster = _build_cluster(args)
     pool = loaded.dataset.test[:args.pool]
     process = ArrivalProcess(kind=args.process, rate_rps=args.rate,
                              seed=args.seed,
@@ -459,17 +422,14 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     requests = generate_requests(pool, args.requests, process)
     retry = (RetryPolicy(max_attempts=args.retries)
              if args.retries > 0 else None)
-    result = target.run(requests, retry_policy=retry)
+    result = cluster.run(requests, retry_policy=retry)
     if not args.json:
-        where = (f"{args.replicas} replicas ({args.policy})"
-                 if clustered else "1 server")
         print(f"loadtest: {args.requests} requests, {args.process} "
               f"arrivals at {args.rate:.0f} req/s (seed {args.seed}), "
-              f"pool of {len(pool)} graphs, {where}")
-    if clustered:
-        _print_cluster_report(result.stats, args.json)
-    else:
-        _print_serve_report(result.stats, args.json)
+              f"pool of {len(pool)} graphs, {args.replicas} "
+              f"replica{'s' if args.replicas > 1 else ''} "
+              f"({args.policy})")
+    _print_cluster_report(result.stats, args.json)
     return 0
 
 
@@ -622,8 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("serve",
-                       help="serve the test split through the "
-                            "inference server")
+                       help="serve the test split through a "
+                            "1-replica cluster")
     _add_dataset_args(p)
     _add_serve_args(p)
     p.add_argument("--requests", type=int, default=32,
@@ -632,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform arrival rate (requests per simulated s)")
     p.add_argument("--show", type=int, default=5,
                    help="print the first N predictions")
-    p.set_defaults(func=cmd_serve)
+    p.set_defaults(func=cmd_serve, replicas=1, policy="hash-affinity")
 
     p = sub.add_parser("loadtest",
                        help="seeded load test; prints SLO metrics")
@@ -652,11 +612,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="client retry attempts on rejection "
                         "(0 = drop immediately)")
     p.add_argument("--replicas", type=int, default=1,
-                   help="serve through a cluster of N replicas "
-                        "(1 = single server)")
+                   help="serve through a cluster of N replicas")
     p.add_argument("--policy", default="hash-affinity",
                    choices=CLUSTER_POLICIES,
-                   help="cluster load-balance policy (with --replicas > 1)")
+                   help="cluster load-balance policy")
     p.set_defaults(func=cmd_loadtest)
 
     p = sub.add_parser("cluster",

@@ -1,9 +1,10 @@
 """Sharded multi-replica serving: the fleet above :mod:`repro.serve`.
 
-One :class:`~repro.serve.server.InferenceServer` scales the paper's
-efficiency story vertically; this package scales it horizontally — the
-ROADMAP's "heavy traffic from millions of users" made concrete as N
-deterministic replicas behind a router, still byte-replayable:
+One :class:`~repro.serve.server.ServerEngine` serves the paper's
+efficiency story on one replica; this package drives N of them —
+deterministic replicas behind a router, still byte-replayable.  It
+holds the only serving event loop, so a single server is simply a
+1-replica :class:`Cluster`:
 
 - :mod:`repro.cluster.routing` — consistent-hash ring over graph
   content keys plus the pluggable load-balance policies
@@ -12,7 +13,8 @@ deterministic replicas behind a router, still byte-replayable:
   replica-local L1 memos over one shared L2, with per-tier hit
   attribution (:class:`TierStats`).
 - :mod:`repro.cluster.cluster` — the shared-clock event loop driving N
-  :class:`~repro.serve.server.ServerEngine` replicas, with seeded
+  :class:`~repro.serve.server.ServerEngine` replicas, with per-request
+  input validation, seeded
   replica crashes (:meth:`repro.resilience.FaultPlan.replica_fails`),
   ring rebalancing and bounded failover.
 - :mod:`repro.cluster.health` — the self-healing layer: per-replica

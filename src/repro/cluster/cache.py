@@ -13,14 +13,14 @@ with two tiers:
   replica 0 is still a (slower) hit when round-robin later sends it to
   replica 2.  L2 is an in-memory table by default and an on-disk
   :class:`~repro.pipeline.cache.ScheduleCache` when one is attached —
-  in which case the disk cache's own counters move too, the same
-  double-entry bookkeeping the single-node server exposes.
+  in which case the disk cache's own counters move too (double-entry
+  bookkeeping: a disk read shows in both ledgers).
 
 Every lookup is attributed to exactly one of ``l1_hits`` / ``l2_hits``
 / ``misses`` in :class:`TierStats`, per replica and fleet-wide; the
 per-replica view also keeps a serve-compatible
 :class:`~repro.pipeline.stats.CacheStats` so a :class:`~repro.serve
-.server.ServerEngine` can consume it as its schedule store unchanged.
+.server.ServerEngine` can consume it as its schedule store.
 """
 
 from __future__ import annotations
@@ -191,11 +191,10 @@ class TieredScheduleCache:
 class ReplicaScheduleView:
     """One replica's window onto the tiered cache.
 
-    Duck-compatible with :class:`~repro.serve.server.ScheduleStore`
-    (``resolve(graph) -> (path, hit)`` plus a ``stats``
-    :class:`CacheStats`), so the :class:`~repro.serve.server
-    .ServerEngine` cannot tell tiered and single-node stores apart.
-    The extra ``tier`` breakdown is what the cluster stats aggregate.
+    The schedule store a :class:`~repro.serve.server.ServerEngine`
+    resolves through: ``resolve(graph) -> (path, hit)`` plus a
+    ``stats`` :class:`CacheStats`.  The extra ``tier`` breakdown is
+    what the cluster stats aggregate.
     """
 
     def __init__(self, parent: TieredScheduleCache, replica_id: int):

@@ -1,11 +1,10 @@
 """The cluster: N serving replicas behind a router, on one clock.
 
-This is the horizontal-scale counterpart of :class:`repro.serve.server
-.InferenceServer`: the same event-loop skeleton (a heap of
-``(time, seq, kind, payload)`` events in simulated time), but the
-serving state is N :class:`~repro.serve.server.ServerEngine` replicas
-sharing a single :class:`~repro.train.clock.SimulatedClock`, fronted
-by a router that picks a replica per request (see
+:meth:`Cluster.run` is the repo's one serving event loop: a heap of
+``(time, seq, kind, payload)`` events in simulated time driving N
+:class:`~repro.serve.server.ServerEngine` replicas that share a single
+:class:`~repro.train.clock.SimulatedClock`, fronted by a router that
+picks a replica per request (see
 :mod:`repro.cluster.routing`), a two-tier schedule cache (see
 :mod:`repro.cluster.cache`) and a self-healing layer (see
 :mod:`repro.cluster.health`).
@@ -39,6 +38,11 @@ Failure model — every state is deliberately reachable from a test:
   ``brownout_watermark``, deterministic admission control sheds the
   excess with typed ``shed-capacity`` outcomes and capacity-scaled
   retry-after hints (:func:`repro.serve.queueing.scale_retry_after`).
+* **A malformed request fails alone.**  Each dispatch first asks the
+  model whether it can encode the graph
+  (:meth:`repro.models.base.GNNModel.check_input`); one it cannot
+  becomes an ``invalid-request`` failure instead of raising out of the
+  batch it would have joined and losing its batch-mates.
 * **No silent drops.**  Every request ends served, as a
   :class:`~repro.cluster.stats.FailedRequest`, or as a
   :class:`~repro.cluster.stats.ShedRequest`
@@ -46,10 +50,10 @@ Failure model — every state is deliberately reachable from a test:
   :meth:`ClusterResult.response_for` raises a
   :class:`~repro.errors.ClusterError` for the latter two.
 
-With one replica, no faults and the same server knobs, the loop below
-reduces to the single-node loop event for event — the degeneracy test
-in ``tests/cluster/test_cluster.py`` holds the two stats surfaces
-equal.
+A single server is ``num_replicas=1`` with no fault plan; the
+differential test in ``tests/serve/test_differential.py`` holds that
+configuration equal, stat for stat, to a plain one-engine reference
+loop.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from repro.cluster.stats import (
     ReplicaRecord,
     ShedRequest,
 )
-from repro.errors import ClusterError, QueueFullError, ServeError
+from repro.errors import ClusterError, QueueFullError, ServeError, ShapeError
 from repro.memsim.device import DeviceSpec, GTX_1080
 from repro.models.base import GNNModel
 from repro.pipeline.cache import ScheduleCache
@@ -243,7 +247,18 @@ class Cluster:
         uses it to resolve a named graph to its current version and pin
         the epoch; requests already admitted are untouched — their
         schedule was resolved at admission.
+
+        Request ids must be unique within ``requests`` (retries reuse
+        theirs, which is why only the input is checked): a duplicate
+        raises :class:`~repro.errors.ClusterError` before anything runs.
         """
+        seen_ids: Set[int] = set()
+        for request in requests:
+            if request.request_id in seen_ids:
+                raise ClusterError(
+                    f"duplicate request_id {request.request_id}: ids "
+                    "must be unique within one run")
+            seen_ids.add(request.request_id)
         cfg = self.config
         plan = self.fault_plan
         policy = make_policy(cfg.policy)
@@ -383,6 +398,11 @@ class Cluster:
         def dispatch(request: InferenceRequest, now_s: float) -> None:
             if bind_request is not None:
                 request = bind_request(request, now_s)
+            try:
+                self.model.check_input(request.graph)
+            except ShapeError:
+                fail(request, "invalid-request", now_s)
+                return
             alive_ids = health.alive_ids()
             if not alive_ids:
                 fail(request, "no-replicas-alive", now_s)

@@ -15,8 +15,9 @@ Counter identities (asserted by the failover and brownout tests)::
     attempts == admitted + rejected      # summed over replicas
 
 Every request the cluster could not serve is a :class:`FailedRequest`
-with a reason — ``retry-budget-exhausted``, ``replica-crash`` or
-``no-replicas-alive`` — or, under brownout admission, a
+with a reason — ``retry-budget-exhausted``, ``replica-crash``,
+``no-replicas-alive`` or ``invalid-request`` (a graph the served
+model cannot encode) — or, under brownout admission, a
 :class:`ShedRequest` with reason ``shed-capacity`` and the retry-after
 hint the client was given; both resolve to a typed
 :class:`~repro.errors.ClusterError` when their response is demanded.
@@ -36,7 +37,8 @@ from repro.serve.stats import ServerStats
 #: The closed set of per-request failure reasons.  ``shed-capacity``
 #: appears only on :class:`ShedRequest` records (brownout admission).
 FAILURE_REASONS = ("retry-budget-exhausted", "replica-crash",
-                   "no-replicas-alive", "shed-capacity")
+                   "no-replicas-alive", "invalid-request",
+                   "shed-capacity")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import numpy as np
 from repro.datasets.base import GraphDataset
 from repro.errors import ConfigError, ShapeError
 from repro.graph.batch import GraphBatch
+from repro.graph.graph import Graph
 from repro.models.runtime import AggregationRuntime
 from repro.tensor import Embedding, Linear, MLP, Module, Tensor
 from repro.tensor import functional as F
@@ -57,6 +58,15 @@ class ModelConfig:
             seed=seed)
 
 
+def _check_ids(ids: np.ndarray, vocab: int, what: str) -> None:
+    """Raise :class:`ShapeError` unless ``ids`` is 1-d within [0, vocab)."""
+    if ids.ndim != 1:
+        raise ShapeError(f"{what} ids must be one per row, got shape "
+                         f"{ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+        raise ShapeError(f"{what} ids out of range [0, {vocab})")
+
+
 class GNNModel(Module):
     """Encoders + a stack of message-passing layers + mean readout.
 
@@ -92,6 +102,28 @@ class GNNModel(Module):
         raise NotImplementedError  # pragma: no cover - abstract
 
     # ------------------------------------------------------------------
+    def check_input(self, graph: Graph) -> None:
+        """Raise :class:`ShapeError` unless :meth:`encode` accepts ``graph``.
+
+        Checks what the encoders need, without running them: node and
+        edge features present, continuous node features of the right
+        width, and categorical ids inside the embedding vocabularies
+        (edge types exclude the slot reserved for virtual edges).
+        """
+        if graph.node_features is None or graph.edge_features is None:
+            raise ShapeError("graph needs node and edge features")
+        nodes = np.asarray(graph.node_features)
+        if self._continuous_nodes:
+            if nodes.ndim != 2 or nodes.shape[1] != \
+                    self.config.node_feature_dim:
+                raise ShapeError(
+                    f"node features of shape {nodes.shape}; expected "
+                    f"(n, {self.config.node_feature_dim})")
+        else:
+            _check_ids(nodes, self.config.num_node_types, "node type")
+        _check_ids(np.asarray(graph.edge_features),
+                   self.config.num_edge_types, "edge type")
+
     def encode(self, batch: GraphBatch, runtime: AggregationRuntime):
         feats = batch.graph.node_features
         if feats is None:
@@ -101,6 +133,8 @@ class GNNModel(Module):
             h = self.node_encoder(Tensor(feats))
         else:
             h = self.node_encoder(feats.astype(np.int64))
+        if batch.graph.edge_features is None:
+            raise ShapeError("batch has no edge features")
         edge_types = np.asarray(batch.graph.edge_features).astype(np.int64)
         # Per-message edge state (DGL's bidirected convention); virtual
         # pairs (global attention) map to the reserved encoder slot.

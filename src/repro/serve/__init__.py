@@ -11,10 +11,11 @@ concrete and, crucially, *deterministic*:
   admission queue whose rejections carry retry-after hints.
 - :mod:`repro.serve.batcher` — dynamic micro-batching by path-length
   bucket (the serving analogue of :mod:`repro.core.batching`).
-- :mod:`repro.serve.server` — the event loop: simulated time
-  (:class:`repro.train.clock.SimulatedClock`), schedule reuse through
-  the PR-1 :class:`~repro.pipeline.cache.ScheduleCache`, execution
-  cost from the analytic kernel simulator.
+- :mod:`repro.serve.server` — :class:`ServerEngine`, one replica's
+  externally-clocked core: schedule resolution at admission, execution
+  cost from the analytic kernel simulator.  The event loop that drives
+  it is :meth:`repro.cluster.Cluster.run`; a single server is a
+  1-replica cluster.
 - :mod:`repro.serve.loadgen` — seeded Poisson/bursty arrival processes
   built on :meth:`repro.resilience.FaultPlan.roll` (SHA-256 uniforms,
   no ``random`` anywhere).
@@ -41,9 +42,6 @@ from repro.serve.queueing import (
 )
 from repro.serve.registry import LoadedModel, ModelRegistry, ModelSpec
 from repro.serve.server import (
-    InferenceServer,
-    ScheduleStore,
-    ServeResult,
     ServerConfig,
     ServerEngine,
 )
@@ -64,9 +62,6 @@ __all__ = [
     "ModelRegistry",
     "ModelSpec",
     "LoadedModel",
-    "InferenceServer",
-    "ScheduleStore",
-    "ServeResult",
     "ServerConfig",
     "ServerEngine",
     "BatchRecord",

@@ -1,4 +1,4 @@
-"""The inference server: a deterministic event loop in simulated time.
+"""One serving replica's core: admission, batching, execution, stats.
 
 Request lifecycle (``docs/serving.md`` has the full walkthrough)::
 
@@ -8,51 +8,36 @@ Request lifecycle (``docs/serving.md`` has the full walkthrough)::
 
 Three design rules keep every run replayable:
 
-* **Simulated time only.**  The loop runs on an injectable
-  :class:`repro.train.clock.SimulatedClock`; execution cost comes from
-  the analytic kernel simulator (:func:`repro.models.kernel_plans
-  .simulate_batch`) on the actual :class:`~repro.models.runtime
-  .MegaRuntime` of each batch.  Wall-clock never touches the stats.
-* **Schedules resolve at admission, through the PR-1 cache.**  Each
-  admitted graph is looked up in the :class:`~repro.pipeline.cache
-  .ScheduleCache` by content key; repeat graphs skip Algorithm 1
-  entirely and the hit is visible in both the serve-local counters and
-  the pipeline cache's own.
+* **Simulated time only.**  Every :class:`ServerEngine` method takes an
+  explicit simulated timestamp; execution cost comes from the analytic
+  kernel simulator (:func:`repro.models.kernel_plans.simulate_batch`)
+  on the actual :class:`~repro.models.runtime.MegaRuntime` of each
+  batch.  Wall-clock never touches the stats.
+* **Schedules resolve at admission.**  Each admitted graph is looked up
+  in the engine's schedule store by content key, so repeat graphs skip
+  Algorithm 1 entirely.
 * **Backpressure is explicit.**  A full queue rejects with a
-  deterministic retry-after hint; the client side re-submits under a
-  :class:`repro.resilience.RetryPolicy` and gives up loudly (counted as
-  ``dropped``) when the policy is exhausted.
+  deterministic retry-after hint; the client's retry behaviour lives
+  with whoever drives the engine.
 
-Structurally the server splits into two pieces.  :class:`ServerEngine`
-is the externally-clocked core — admission, batching, execution,
-per-replica stats — that owns **no clock and no client behaviour**:
-every method takes an explicit simulated timestamp.
-:class:`InferenceServer.run` drives one engine to completion (the
-single-node loop below); :mod:`repro.cluster` drives N engines on one
-shared clock behind a router.
+The engine owns **no clock, no event heap and no client behaviour**.
+:meth:`repro.cluster.cluster.Cluster.run` is the one event loop that
+drives it: a single server is a 1-replica cluster.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import MegaConfig
-from repro.core.path import PathRepresentation
 from repro.graph.batch import GraphBatch
-from repro.graph.graph import Graph
 from repro.memsim.device import DeviceSpec, GPUDevice, GTX_1080
 from repro.models.base import GNNModel
 from repro.models.kernel_plans import simulate_batch
 from repro.models.runtime import MegaRuntime
-from repro.pipeline.cache import ScheduleCache
-from repro.pipeline.hashing import schedule_cache_key
-from repro.pipeline.parallel import compute_schedule, materialise
 from repro.pipeline.stats import CacheStats
-from repro.resilience import RetryPolicy
 from repro.serve.batcher import BatchingPolicy, BatchPlan, MicroBatcher
 from repro.serve.queueing import (
     BoundedRequestQueue,
@@ -62,7 +47,6 @@ from repro.serve.queueing import (
 )
 from repro.serve.stats import BatchRecord, ServerStats
 from repro.errors import QueueFullError, ServeError
-from repro.train.clock import SimulatedClock
 
 
 @dataclass(frozen=True)
@@ -98,62 +82,6 @@ class ServerConfig:
                 "miss_penalty_s and retry_after_default_s must be >= 0")
 
 
-class ScheduleStore:
-    """Admission-time schedule resolution with serve-local counters.
-
-    Backed by a :class:`ScheduleCache` when one is attached (hits also
-    move the pipeline cache's own counters — the observable
-    double-entry bookkeeping the acceptance tests assert); falls back
-    to an in-process memo otherwise, so the server never needs a disk
-    directory just to deduplicate repeat graphs within a run.
-    """
-
-    def __init__(self, config: MegaConfig,
-                 cache: Optional[ScheduleCache] = None):
-        self.config = config
-        self.cache = cache
-        self.stats = CacheStats()
-        self._memo: Dict[str, Tuple] = {}
-
-    def resolve(self, graph: Graph) -> Tuple[PathRepresentation, bool]:
-        """Path representation for ``graph``; True when cache-served."""
-        key = schedule_cache_key(graph, self.config)
-        if self.cache is not None:
-            entry = self.cache.get(key)
-            if entry is not None:
-                self.stats.hits += 1
-                return materialise(graph, self.config, entry[0]), True
-            entry = compute_schedule(graph, self.config)
-            self.cache.put(key, *entry)
-            self.stats.misses += 1
-            self.stats.puts += 1
-            return materialise(graph, self.config, entry[0]), False
-        entry = self._memo.get(key)
-        if entry is not None:
-            self.stats.hits += 1
-            return materialise(graph, self.config, entry[0]), True
-        entry = compute_schedule(graph, self.config)
-        self._memo[key] = entry
-        self.stats.misses += 1
-        self.stats.puts += 1
-        return materialise(graph, self.config, entry[0]), False
-
-
-@dataclass
-class ServeResult:
-    """Everything one :meth:`InferenceServer.run` call produced."""
-
-    responses: List[InferenceResponse]
-    stats: ServerStats
-
-    def response_for(self, request_id: int) -> InferenceResponse:
-        for resp in self.responses:
-            if resp.request_id == request_id:
-                return resp
-        raise ServeError(f"no response for request {request_id} "
-                         "(rejected and dropped, or never submitted)")
-
-
 class ServerEngine:
     """One replica's serving core, driven by an external clock.
 
@@ -170,9 +98,9 @@ class ServerEngine:
     * :meth:`evacuate` empties the queue (cluster failover).
 
     ``store`` is anything with a ``resolve(graph) -> (path, hit)``
-    method and a ``stats`` :class:`CacheStats` — the single-node
-    :class:`ScheduleStore` or a per-replica view of the cluster's
-    two-tier cache.
+    method and a ``stats`` :class:`CacheStats` — in practice one
+    replica's view of the cluster's two-tier cache
+    (:class:`repro.cluster.cache.ReplicaScheduleView`).
     """
 
     def __init__(self, model: GNNModel, config: ServerConfig, store,
@@ -210,10 +138,8 @@ class ServerEngine:
     def admit(self, request: InferenceRequest, now_s: float) -> None:
         """Enqueue ``request`` or raise :class:`QueueFullError`.
 
-        Counter order matches the historical single-server loop:
-        every attempt samples the queue depth, then either admits or
-        rejects — so the engine's stats are byte-compatible with the
-        pre-refactor server.
+        Every attempt samples the queue depth, then either admits or
+        rejects.
         """
         self.stats.attempts += 1
         self.stats.queue_depth_sum += self.queue.depth
@@ -311,104 +237,3 @@ class ServerEngine:
         self.stats.cache = CacheStats(
             **{k: after[k] - self._cache_before[k] for k in after})
         return self.stats
-
-
-class InferenceServer:
-    """Single-executor inference server over one loaded model."""
-
-    def __init__(self, model: GNNModel,
-                 mega_config: Optional[MegaConfig] = None,
-                 cache: Optional[ScheduleCache] = None,
-                 clock: Optional[SimulatedClock] = None,
-                 config: Optional[ServerConfig] = None,
-                 device_spec: DeviceSpec = GTX_1080):
-        self.model = model
-        self.model.eval()
-        self.mega_config = mega_config or MegaConfig()
-        self.config = config or ServerConfig()
-        self.clock = clock if clock is not None else SimulatedClock()
-        self.device_spec = device_spec
-        self.store = ScheduleStore(self.mega_config, cache=cache)
-        self.batcher = MicroBatcher(self.config.policy)
-
-    # ------------------------------------------------------------------
-    def run(self, requests: List[InferenceRequest],
-            retry_policy: Optional[RetryPolicy] = None) -> ServeResult:
-        """Serve a request stream to completion; returns the result.
-
-        ``retry_policy`` drives the *client side*: a rejected request is
-        re-submitted after ``max(retry_after hint, policy backoff)``
-        until the policy's attempt budget is spent, then counted as
-        dropped.  ``None`` drops rejected requests immediately.
-        """
-        engine = ServerEngine(self.model, self.config, self.store,
-                              device_spec=self.device_spec)
-        stats = engine.stats
-        stats.received = len(requests)
-        responses: List[InferenceResponse] = []
-
-        # (time, tiebreak_seq, kind, payload); kinds: "arrive", "done".
-        events: List[Tuple[float, int, str, object]] = []
-        seq = 0
-        arrivals_pending = 0
-        for request in requests:
-            heapq.heappush(events,
-                           (request.submitted_s, seq, "arrive", request))
-            seq += 1
-            arrivals_pending += 1
-
-        def admit(request: InferenceRequest, now_s: float) -> None:
-            nonlocal seq, arrivals_pending
-            try:
-                engine.admit(request, now_s)
-            except QueueFullError as exc:
-                if (retry_policy is not None
-                        and request.attempt + 1 < retry_policy.max_attempts):
-                    delay = max(exc.retry_after_s,
-                                retry_policy.delay(request.attempt))
-                    retried = request.retry(now_s + delay)
-                    heapq.heappush(
-                        events,
-                        (retried.submitted_s, seq, "arrive", retried))
-                    seq += 1
-                    stats.retried += 1
-                    # A retried request re-enters the arrival stream.
-                    arrivals_pending += 1
-                else:
-                    stats.dropped += 1
-
-        while events or engine.depth > 0:
-            now_s = self.clock.now()
-            if engine.idle and engine.depth > 0:
-                plan = engine.select(now_s, draining=arrivals_pending == 0)
-                if plan is not None:
-                    done_s, batch_responses = engine.launch(plan, now_s)
-                    heapq.heappush(events,
-                                   (done_s, seq, "done", batch_responses))
-                    seq += 1
-                    continue
-                deadline = engine.flush_deadline()
-                next_event_s = events[0][0] if events else None
-                if next_event_s is None or (deadline is not None
-                                            and deadline <= next_event_s):
-                    if deadline <= now_s:
-                        # A reached deadline must have made its bucket
-                        # ripe; anything else would spin forever.
-                        raise ServeError(
-                            "batcher refused to flush at its own deadline")
-                    self.clock.advance_to(deadline)
-                    continue
-            if not events:
-                raise ServeError(
-                    "event loop stalled: queued requests but no events")
-            t_s, _, kind, payload = heapq.heappop(events)
-            self.clock.advance_to(t_s)
-            if kind == "arrive":
-                arrivals_pending -= 1
-                admit(payload, self.clock.now())
-            else:
-                engine.complete(payload, self.clock.now())
-                responses.extend(payload)
-
-        engine.finish()
-        return ServeResult(responses=responses, stats=stats)

@@ -1,8 +1,8 @@
-"""SLO accounting for the inference server.
+"""SLO accounting for one serving replica.
 
 :class:`ServerStats` is the serving counterpart of
 :class:`repro.pipeline.stats.CacheStats`: a plain dataclass of counters
-and per-event records that the CLI prints after every run and that the
+and per-event records that the cluster keeps per replica and that the
 deterministic-replay gate compares byte-for-byte across seeded runs.
 Every number in here is derived from *simulated* time and integer
 counters — wall-clock never leaks in, which is what makes two runs with
@@ -63,11 +63,12 @@ class BatchRecord:
 class ServerStats:
     """Everything observable about one serving run.
 
-    Counter identities (asserted by the backpressure tests)::
+    One replica's view: retries and terminal failures are client-side
+    outcomes, counted fleet-wide in
+    :class:`repro.cluster.stats.ClusterStats`.  Counter identity
+    (asserted by the backpressure tests)::
 
-        received  == served + dropped + in_flight_at_shutdown
         attempts  == admitted + rejected
-        admitted  == received + retried_admissions
 
     Attributes
     ----------
@@ -79,10 +80,6 @@ class ServerStats:
         Attempts accepted into the bounded queue.
     rejected:
         Attempts refused with retry-after (queue at capacity).
-    retried:
-        Re-submissions scheduled by the client's retry policy.
-    dropped:
-        Requests abandoned after the retry policy was exhausted.
     served:
         Requests completed with a prediction.
     max_queue_depth:
@@ -96,16 +93,14 @@ class ServerStats:
     batches:
         One :class:`BatchRecord` per executed micro-batch.
     cache:
-        Schedule-cache counters for this run (serve-local view of the
-        PR-1 pipeline cache).
+        Schedule-cache counters for this run (the replica's view of
+        the tiered schedule cache).
     """
 
     received: int = 0
     attempts: int = 0
     admitted: int = 0
     rejected: int = 0
-    retried: int = 0
-    dropped: int = 0
     served: int = 0
     max_queue_depth: int = 0
     queue_depth_sum: int = 0
@@ -175,8 +170,6 @@ class ServerStats:
             "attempts": self.attempts,
             "admitted": self.admitted,
             "rejected": self.rejected,
-            "retried": self.retried,
-            "dropped": self.dropped,
             "served": self.served,
             "max_queue_depth": self.max_queue_depth,
             "queue_depth_sum": self.queue_depth_sum,
@@ -186,17 +179,3 @@ class ServerStats:
             "batches": [asdict(b) for b in self.batches],
             "cache": self.cache.as_dict(),
         }
-
-    def summary_line(self) -> str:
-        """One-line report for CLI output."""
-        return (f"serve: {self.served}/{self.received} served "
-                f"({self.rejected} rejected, {self.dropped} dropped), "
-                f"{len(self.batches)} batches "
-                f"(occupancy {self.mean_batch_occupancy:.2f}, "
-                f"waste {self.mean_padding_waste:.2f}), "
-                f"p50/p95/p99 {self.p50_latency_s * 1e3:.2f}/"
-                f"{self.p95_latency_s * 1e3:.2f}/"
-                f"{self.p99_latency_s * 1e3:.2f} ms, "
-                f"{self.throughput_rps:.1f} req/s, "
-                f"schedule-cache {self.cache.hits} hits / "
-                f"{self.cache.misses} misses")

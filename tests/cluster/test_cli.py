@@ -126,11 +126,12 @@ class TestClusteredLoadtest:
         assert "cluster[round-robin]" in out
 
     def test_default_stays_single_server(self, capsys):
+        # A single server is a 1-replica cluster.
         code = main(["loadtest", *CLUSTER_ARGS])
         assert code == 0
         out = capsys.readouterr().out
-        assert "1 server" in out
-        assert "serve:" in out and "cluster[" not in out
+        assert "1 replica (hash-affinity)" in out
+        assert "served on 1/1 replicas" in out
 
     def test_clustered_json_is_cluster_stats(self, capsys):
         code = main(["loadtest", *CLUSTER_ARGS, "--replicas", "2",

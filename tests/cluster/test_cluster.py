@@ -1,4 +1,4 @@
-"""The clustered event loop: determinism, failover, degeneracy, edges.
+"""The clustered event loop: determinism, failover, bad input, edges.
 
 The tier-1 contract for ``repro.cluster``:
 
@@ -6,18 +6,23 @@ The tier-1 contract for ``repro.cluster``:
   ``ClusterStats.as_dict()``;
 * every request ends served or as a typed failure — never silently
   dropped;
-* one replica with no faults degenerates to the single-node server,
-  stat for stat.
+* malformed input fails typed: duplicate request ids reject the run,
+  a graph the model cannot encode fails only its own request.
+
+A single server is the 1-replica case; ``tests/serve/test_differential
+.py`` holds it equal to a plain reference loop.
 """
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig
+from repro.cluster import ClusterConfig
 from repro.errors import ClusterError, ReproError
+from repro.graph.graph import Graph
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.serve import BatchingPolicy, InferenceServer, ServerConfig
+from repro.serve import InferenceRequest
 
 RETRY = RetryPolicy(max_attempts=3)
 
@@ -179,28 +184,55 @@ class TestFailover:
         assert len(crashed.stats.batches) == 0
 
 
-class TestDegeneracy:
-    def test_single_replica_matches_single_server(self, model,
-                                                  make_requests):
-        # Queue big enough that no rejection path fires; then the
-        # cluster's one engine must reproduce InferenceServer.run's
-        # stats byte for byte.
-        server_config = ServerConfig(
-            queue_capacity=64, policy=BatchingPolicy(max_batch_size=8))
-        single = InferenceServer(model, config=server_config) \
-            .run(make_requests(num=48))
-        clustered = Cluster(model, ClusterConfig(
-            num_replicas=1, server=server_config)) \
-            .run(make_requests(num=48))
-        assert json.dumps(single.stats.as_dict(), sort_keys=True) == \
-            json.dumps(clustered.stats.replicas[0].stats.as_dict(),
-                       sort_keys=True)
-        assert clustered.stats.served == single.stats.served
-        # Same predictions for the same request ids, too.
-        for response in single.responses[:5]:
-            other = clustered.response_for(response.request_id)
-            assert response.prediction.tolist() == \
-                other.prediction.tolist()
+class TestInputValidation:
+    """Bad input fails typed: the run for duplicate ids, the request
+    for a graph the model cannot encode."""
+
+    def test_duplicate_request_ids_rejected_at_entry(self, make_cluster,
+                                                     pool):
+        cluster = make_cluster()
+        requests = [InferenceRequest(request_id=0, graph=pool[i],
+                                     submitted_s=0.01 * (i + 1))
+                    for i in range(3)]
+        with pytest.raises(ClusterError, match="duplicate request_id 0"):
+            cluster.run(requests)
+        assert cluster.clock.now() == 0.0       # nothing was served
+
+    @staticmethod
+    def _mixed_requests(pool):
+        good = pool[0]
+        no_edge_features = Graph(
+            good.num_nodes, good.src, good.dst, undirected=good.undirected,
+            node_features=good.node_features, edge_features=None)
+        out_of_vocab = Graph(
+            good.num_nodes, good.src, good.dst, undirected=good.undirected,
+            node_features=np.asarray(good.node_features) + 1000,
+            edge_features=good.edge_features)
+        graphs = [pool[1], no_edge_features, pool[2], pool[3],
+                  out_of_vocab, pool[4], pool[5]]
+        return [InferenceRequest(request_id=i, graph=g,
+                                 submitted_s=0.001 * (i + 1))
+                for i, g in enumerate(graphs)]
+
+    def test_malformed_graphs_fail_alone(self, make_cluster, pool):
+        result = make_cluster().run(self._mixed_requests(pool),
+                                    retry_policy=RETRY)
+        stats = result.stats
+        assert stats.served == 5
+        assert stats.received == stats.served + stats.failed + stats.shed
+        assert [(f.request_id, f.reason) for f in stats.failures] == \
+            [(1, "invalid-request"), (4, "invalid-request")]
+        assert sorted(r.request_id for r in result.responses) == \
+            [0, 2, 3, 5, 6]
+        with pytest.raises(ClusterError, match="invalid-request"):
+            result.response_for(4)
+
+    def test_mixed_stream_replays_byte_identically(self, make_cluster,
+                                                   pool):
+        runs = [make_cluster().run(self._mixed_requests(pool),
+                                   retry_policy=RETRY)
+                for _ in range(2)]
+        assert stats_bytes(runs[0].stats) == stats_bytes(runs[1].stats)
 
 
 class TestPoliciesUnderLoad:

@@ -6,8 +6,9 @@ import pytest
 from repro.core.config import MegaConfig
 from repro.core.path import PathRepresentation
 from repro.datasets import load_dataset
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ShapeError
 from repro.graph.batch import GraphBatch
+from repro.graph.graph import Graph
 from repro.models import (
     GatedGCN,
     GraphTransformer,
@@ -139,6 +140,64 @@ class TestForward:
         pred = model(batch, rt)
         assert model.loss(pred, batch.labels).item() >= 0
         assert model.metric(pred, batch.labels) >= 0
+
+
+def with_features(graph, **features):
+    """``graph`` with some of its feature arrays replaced."""
+    kwargs = dict(node_features=graph.node_features,
+                  edge_features=graph.edge_features)
+    kwargs.update(features)
+    return Graph(graph.num_nodes, graph.src, graph.dst,
+                 undirected=graph.undirected, **kwargs)
+
+
+class TestCheckInput:
+    """``check_input`` raises ShapeError exactly where encode would fail."""
+
+    def test_dataset_graphs_pass(self, zinc, csl):
+        for ds in (zinc, csl):
+            model = GatedGCN(ModelConfig.for_dataset(ds, hidden_dim=16,
+                                                     num_layers=2))
+            for graph in ds.train[:10]:
+                model.check_input(graph)
+
+    @pytest.mark.parametrize("change", [
+        {"node_features": None},
+        {"edge_features": None},
+        {"node_features": "shift"},
+        {"edge_features": "shift"},
+        {"node_features": "2d"},
+    ], ids=["no-nodes", "no-edges", "node-vocab", "edge-vocab",
+            "float-nodes"])
+    def test_malformed_categorical_graph(self, zinc, change):
+        graph = zinc.train[0]
+        model = GatedGCN(ModelConfig.for_dataset(zinc, hidden_dim=16,
+                                                 num_layers=2))
+        swapped = {}
+        for key, how in change.items():
+            feats = np.asarray(getattr(graph, key))
+            swapped[key] = (None if how is None
+                            else feats + 1000 if how == "shift"
+                            else np.ones((len(feats), 3)))
+        with pytest.raises(ShapeError):
+            model.check_input(with_features(graph, **swapped))
+
+    def test_continuous_width_mismatch(self, csl):
+        graph = csl.train[0]
+        model = GatedGCN(ModelConfig.for_dataset(csl, hidden_dim=16,
+                                                 num_layers=2))
+        narrow = np.asarray(graph.node_features)[:, :1]
+        with pytest.raises(ShapeError):
+            model.check_input(with_features(graph, node_features=narrow))
+
+    def test_encode_without_edge_features_is_typed(self, zinc):
+        model = GatedGCN(ModelConfig.for_dataset(zinc, hidden_dim=16,
+                                                 num_layers=2))
+        model.eval()
+        batch = GraphBatch([with_features(zinc.train[0],
+                                          edge_features=None)])
+        with pytest.raises(ShapeError):
+            model(batch, BaselineRuntime(batch))
 
 
 class TestLearnability:

@@ -1,9 +1,9 @@
 """Shared fixtures for the serving tests.
 
 One small ZINC slice and one small model are built per session; the
-server under test is cheap to construct around them, so each test gets
-a fresh server (and a fresh simulated clock) while the expensive pieces
-are shared.
+server under test — a 1-replica cluster — is cheap to construct around
+them, so each test gets a fresh server (and a fresh simulated clock)
+while the expensive pieces are shared.
 """
 
 import pytest
@@ -37,15 +37,16 @@ def pool(dataset):
 
 @pytest.fixture
 def make_server(model, tmp_path):
-    """Factory for fresh servers (optionally cache-backed)."""
+    """Factory for fresh 1-replica clusters (optionally cache-backed)."""
+    from repro.cluster import Cluster, ClusterConfig
     from repro.pipeline import ScheduleCache
-    from repro.serve import InferenceServer, ServerConfig
+    from repro.serve import ServerConfig
 
     def _make(config=None, cached=False, cache_dir=None):
         cache = None
         if cached:
             cache = ScheduleCache(cache_dir or tmp_path / "schedules")
-        return InferenceServer(model, cache=cache,
-                               config=config or ServerConfig())
+        return Cluster(model, ClusterConfig(
+            num_replicas=1, server=config or ServerConfig()), cache=cache)
 
     return _make

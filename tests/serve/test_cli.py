@@ -29,7 +29,7 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "fresh weights" in out
         assert "request 0:" in out
-        assert "serve: 6/6 served" in out
+        assert "6/6 served on 1/1 replicas" in out
 
     def test_serve_json_report(self, capsys):
         code = main(["serve", *SERVE_ARGS, "--no-cache",

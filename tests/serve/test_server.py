@@ -1,14 +1,16 @@
 """The inference server: replay, backpressure, schedule reuse.
 
-This file carries the PR's tier-1 acceptance gates:
+The server under test is a 1-replica cluster.  This file carries the
+tier-1 acceptance gates:
 
 * **Deterministic replay** — two load tests with the same seed produce
-  byte-identical :class:`~repro.serve.stats.ServerStats` JSON.
+  byte-identical stats JSON.
 * **Backpressure** — under burst arrivals the bounded queue never
   exceeds capacity and every rejection is accounted for.
-* **Schedule reuse** — serving the same graph twice hits the PR-1
-  schedule cache, observable in both the serve-local counters and the
-  pipeline cache's own.
+* **Schedule reuse** — serving the same graph twice hits the schedule
+  cache, observable in the replica's counters; a second server over
+  the same cache directory reads the disk entry, observable in the
+  pipeline cache's own counters.
 """
 
 import json
@@ -16,13 +18,11 @@ import json
 import pytest
 
 from repro.errors import ServeError
-from repro.pipeline import ScheduleCache
 from repro.resilience import RetryPolicy
 from repro.serve import (
     ArrivalProcess,
     BatchingPolicy,
     InferenceRequest,
-    InferenceServer,
     ServerConfig,
     generate_requests,
 )
@@ -35,12 +35,17 @@ def uniform_requests(pool, count, rate_rps=200.0):
             for i in range(count)]
 
 
+def replica_stats(result):
+    """The one replica's ServerStats (queue, batch and cache fields)."""
+    return result.stats.replicas[0].stats
+
+
 class TestServing:
     def test_all_requests_answered(self, make_server, pool):
         server = make_server()
         result = server.run(uniform_requests(pool, 12))
         assert result.stats.served == 12
-        assert result.stats.dropped == 0
+        assert result.stats.failed == 0
         assert sorted(r.request_id for r in result.responses) == \
             list(range(12))
 
@@ -62,14 +67,14 @@ class TestServing:
         # dense -> batches fill up, so occupancy rises.
         sparse = make_server().run(uniform_requests(pool, 8, rate_rps=10))
         dense = make_server().run(uniform_requests(pool, 8, rate_rps=2000))
-        assert dense.stats.mean_batch_occupancy > \
-            sparse.stats.mean_batch_occupancy
+        assert replica_stats(dense).mean_batch_occupancy > \
+            replica_stats(sparse).mean_batch_occupancy
 
     def test_stats_counter_identities(self, make_server, pool):
         stats = make_server().run(uniform_requests(pool, 16)).stats
         assert stats.received == 16
         assert stats.attempts == stats.admitted + stats.rejected
-        assert stats.received == stats.served + stats.dropped
+        assert stats.received == stats.served + stats.failed
 
 
 class TestDeterministicReplay:
@@ -123,25 +128,26 @@ class TestBackpressure:
 
     def test_queue_depth_bounded_and_rejections_counted(
             self, make_server, pool):
-        stats = self._burst_run(make_server, pool, None).stats
-        assert stats.max_queue_depth <= 4
+        result = self._burst_run(make_server, pool, None)
+        stats = result.stats
+        assert replica_stats(result).max_queue_depth <= 4
         assert stats.rejected > 0
         assert stats.attempts == stats.admitted + stats.rejected
-        assert stats.received == stats.served + stats.dropped
-        assert stats.dropped == stats.rejected      # no retry policy
+        assert stats.received == stats.served + stats.failed
+        assert stats.failed == stats.rejected       # no retry policy
 
     def test_retry_policy_absorbs_rejections(self, make_server, pool):
         policy = RetryPolicy(max_attempts=4, backoff_base_s=0.004)
         stats = self._burst_run(make_server, pool, policy).stats
         assert stats.rejected > 0
         assert stats.retried > 0
-        assert stats.dropped < stats.rejected
+        assert stats.failed < stats.rejected
         assert stats.attempts == stats.received + stats.retried
-        assert stats.received == stats.served + stats.dropped
+        assert stats.received == stats.served + stats.failed
 
 
 class TestScheduleReuse:
-    """Tier-1 gate: repeat graphs hit the PR-1 schedule cache."""
+    """Tier-1 gate: repeat graphs hit the schedule cache."""
 
     def test_same_graph_twice_hits_cache(self, make_server, pool,
                                          tmp_path):
@@ -151,32 +157,34 @@ class TestScheduleReuse:
             InferenceRequest(request_id=0, graph=graph, submitted_s=0.1),
             InferenceRequest(request_id=1, graph=graph, submitted_s=0.2),
         ]
-        result = server.run(requests)
-        assert result.stats.cache.misses == 1
-        assert result.stats.cache.hits == 1
-        assert result.stats.schedule_hit_rate == pytest.approx(0.5)
-        # The underlying pipeline cache counters moved too.
-        assert server.store.cache.stats.hits >= 1
-        assert server.store.cache.stats.misses >= 1
-        assert server.store.cache.stats.puts >= 1
+        stats = replica_stats(server.run(requests))
+        assert stats.cache.misses == 1
+        assert stats.cache.hits == 1
+        assert stats.schedule_hit_rate == pytest.approx(0.5)
+        # The repeat is served from memory: the disk cache saw one
+        # miss and one write, and no read.
+        disk = server.tiered.backing.stats
+        assert (disk.hits, disk.misses, disk.puts) == (0, 1, 1)
 
-    def test_cache_survives_across_servers(self, model, pool, tmp_path):
+    def test_cache_survives_across_servers(self, make_server, pool,
+                                           tmp_path):
         cache_dir = tmp_path / "shared"
-        first = InferenceServer(model,
-                                cache=ScheduleCache(cache_dir))
+        first = make_server(cached=True, cache_dir=cache_dir)
         first.run([InferenceRequest(request_id=0, graph=pool[0],
                                     submitted_s=0.1)])
-        second = InferenceServer(model,
-                                 cache=ScheduleCache(cache_dir))
-        stats = second.run([InferenceRequest(request_id=0, graph=pool[0],
-                                             submitted_s=0.1)]).stats
+        second = make_server(cached=True, cache_dir=cache_dir)
+        result = second.run([InferenceRequest(request_id=0, graph=pool[0],
+                                              submitted_s=0.1)])
+        stats = replica_stats(result)
         assert stats.cache.hits == 1        # warm from the first server
         assert stats.cache.misses == 0
+        # The underlying pipeline cache counters moved too.
+        assert second.tiered.backing.stats.hits >= 1
 
     def test_memo_fallback_without_cache(self, make_server, pool):
         server = make_server(cached=False)
         graph = pool[1]
-        stats = server.run(uniform_requests([graph], 5)).stats
+        stats = replica_stats(server.run(uniform_requests([graph], 5)))
         assert stats.cache.misses == 1
         assert stats.cache.hits == 4
 
@@ -192,6 +200,6 @@ class TestConfigValidation:
 
     def test_miss_penalty_slows_cold_batches(self, make_server, pool):
         slow = make_server(config=ServerConfig(miss_penalty_s=0.5))
-        stats = slow.run(uniform_requests([pool[2]], 1)).stats
+        stats = replica_stats(slow.run(uniform_requests([pool[2]], 1)))
         assert stats.batches[0].schedule_misses == 1
         assert stats.batches[0].service_s > 0.5

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import MegaConfig
-from repro.errors import StreamError
+from repro.errors import ClusterError, StreamError
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.serve.queueing import InferenceRequest
 from repro.stream import DeltaBatch, EdgeDelta
@@ -35,6 +35,15 @@ class TestConstruction:
         batch = DeltaBatch(0, "g9", ops=(EdgeDelta("insert", 0, 1),))
         with pytest.raises(StreamError):
             server.run([], [batch])
+
+    def test_duplicate_request_ids_rejected(self, make_server):
+        server = make_server(num_graphs=2)
+        requests = [InferenceRequest(request_id=7,
+                                     graph=server.table.graph(name),
+                                     submitted_s=0.1, graph_name=name)
+                    for name in ("g0", "g1")]
+        with pytest.raises(ClusterError, match="duplicate request_id 7"):
+            server.run(requests, [])
 
 
 class TestMixedRun:

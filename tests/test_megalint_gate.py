@@ -59,6 +59,27 @@ def test_project_pass_is_violation_free():
     assert result.project_files >= 100  # the index covered the tree
 
 
+def test_configured_protocol_classes_resolve():
+    """Every MEGA015 ``protocol-classes`` entry, in pyproject.toml and in
+    the built-in default, names a class in the project index.  The rule
+    skips an entry it cannot resolve, so a stale one would check
+    nothing and report nothing."""
+    from tools.megalint import LintConfig, ProjectIndex
+    config = load_config(REPO_ROOT / "pyproject.toml")
+    index = ProjectIndex.build(
+        [REPO_ROOT / r for r in config.project_roots], config,
+        reference_roots=[])
+    entries = sorted(set(config.protocol_classes)
+                     | set(LintConfig().protocol_classes))
+    assert entries
+    for entry in entries:
+        resolved = index.canonical(entry) or entry
+        owner = index.module_of(resolved)
+        assert owner is not None, f"{entry}: no such module"
+        assert resolved[len(owner.name):].lstrip(".") in owner.classes, (
+            f"{entry}: no such class in {owner.name}")
+
+
 def test_justified_baseline_entries_carry_reasons():
     """Sanctioned violations are declared, not silently suppressed:
     every baseline entry must carry a non-empty 'why'."""

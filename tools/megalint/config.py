@@ -81,7 +81,6 @@ class LintConfig:
     #: MEGA015: dotted class paths acting as structural protocols;
     #: classes duck-typing them must not drift from their method set.
     protocol_classes: List[str] = field(default_factory=lambda: [
-        "repro.serve.server.ScheduleStore",
         "repro.cluster.routing.LoadBalancePolicy"])
 
     #: MEGA012: extra taint sinks beyond the replay-surface builders —

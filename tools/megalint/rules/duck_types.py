@@ -1,22 +1,19 @@
 """MEGA015 — divergent duck-types: look-alikes of a protocol that
 drift from its method set.
 
-The serving stack is glued together structurally, not nominally:
-``ServerEngine`` accepts "anything with a ``resolve(graph) -> (path,
-hit)``" (the :class:`~repro.serve.server.ScheduleStore` shape — the
-cluster's two-tier cache view duck-types it), and the cluster routes
-through "anything with a ``choose(key, alive, ring)``"
+The serving stack is glued together structurally, not nominally: the
+cluster routes through "anything with a ``choose(key, alive, ring)``"
 (:class:`~repro.cluster.routing.LoadBalancePolicy`).  Nothing checks
-those shapes at runtime until a request is already in flight — a
-policy that spells its method ``chose``, or a store whose ``resolve``
-grew an extra required parameter, raises ``AttributeError``/
-``TypeError`` mid-serve instead of failing the build.
+that shape at runtime until a request is already in flight — a policy
+that spells its method ``chose``, or one whose ``choose`` grew an extra
+required parameter, raises ``AttributeError``/``TypeError`` mid-serve
+instead of failing the build.
 
 For each configured protocol class this rule checks every class in the
 checked tree that either subclasses the protocol (anywhere) or
 structurally duck-types it — defines all of its public methods *and*
 lives under the protocol's top-level package, so a linter helper that
-happens to define ``resolve`` isn't mistaken for a schedule store:
+happens to define ``choose`` isn't mistaken for a routing policy:
 
 * **signature drift** — a shared method whose positional parameters
   differ from the protocol's (``*args``/``**kwargs`` on the
@@ -73,7 +70,7 @@ class DuckTypeDriftRule(ProjectRule):
     id = "MEGA015"
     name = "duck-type-drift"
     rationale = ("classes duck-typing a configured protocol "
-                 "(ScheduleStore, LoadBalancePolicy) must match its "
+                 "(e.g. LoadBalancePolicy) must match its "
                  "method names and signatures — drift surfaces as "
                  "AttributeError/TypeError mid-serve instead of at "
                  "build time")
