@@ -105,11 +105,15 @@ class GNNModel(Module):
     def check_input(self, graph: Graph) -> None:
         """Raise :class:`ShapeError` unless :meth:`encode` accepts ``graph``.
 
-        Checks what the encoders need, without running them: node and
-        edge features present, continuous node features of the right
-        width, and categorical ids inside the embedding vocabularies
-        (edge types exclude the slot reserved for virtual edges).
+        Checks what the encoders need, without running them: at least
+        one node (an empty graph has no readout to predict from), node
+        and edge features present, continuous node features of the
+        right width, and categorical ids inside the embedding
+        vocabularies (edge types exclude the slot reserved for virtual
+        edges).
         """
+        if graph.num_nodes == 0:
+            raise ShapeError("graph has no nodes")
         if graph.node_features is None or graph.edge_features is None:
             raise ShapeError("graph needs node and edge features")
         nodes = np.asarray(graph.node_features)

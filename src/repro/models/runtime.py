@@ -13,12 +13,18 @@ list, so model accuracy is backend-independent at full coverage; they
 differ in which *kernel plan* they emit for the GPU simulator and in
 the message list when MEGA's coverage θ < 1 or edge dropping is active.
 
+Each message array gets one :class:`~repro.tensor.functional.SegmentIndex`
+per batch, built on first use and shared by every layer's forward and
+backward (``src_index``, ``dst_index``, ``edge_index``, plus
+``graph_index`` for the readout).
+
 Call counters record how many scatter/gather invocations each layer
 makes — the quantities in Table I.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +57,26 @@ class AggregationRuntime:
     def reset_counters(self) -> None:
         self.counters = {"scatter": 0, "gather": 0}
 
+    @cached_property
+    def src_index(self) -> F.SegmentIndex:
+        """Message → source node (the gather that fetches source rows)."""
+        return F.SegmentIndex(self.msg_src, self.num_nodes)
+
+    @cached_property
+    def dst_index(self) -> F.SegmentIndex:
+        """Message → destination node (gathers and the reductions)."""
+        return F.SegmentIndex(self.msg_dst, self.num_nodes)
+
+    @cached_property
+    def edge_index(self) -> F.SegmentIndex:
+        """Message → edge record."""
+        return F.SegmentIndex(self.msg_edge, self.batch.num_edges)
+
+    @cached_property
+    def graph_index(self) -> F.SegmentIndex:
+        """Node → member graph (the readout)."""
+        return F.SegmentIndex(self.batch.graph_ids, self.batch.num_graphs)
+
     # ------------------------------------------------------------------
     # Graph operations used by the layers
     # ------------------------------------------------------------------
@@ -59,8 +85,10 @@ class AggregationRuntime:
                          ) -> Tuple[Optional[Tensor], Optional[Tensor]]:
         """Gather node rows to message rows (one DGL apply_edges call)."""
         self.counters["scatter"] += 1
-        src_rows = src[self.msg_src] if src is not None else None
-        dst_rows = dst[self.msg_dst] if dst is not None else None
+        src_rows = (F.gather_rows(src, self.src_index)
+                    if src is not None else None)
+        dst_rows = (F.gather_rows(dst, self.dst_index)
+                    if dst is not None else None)
         return src_rows, dst_rows
 
     def count_scatter(self) -> None:
@@ -75,11 +103,15 @@ class AggregationRuntime:
     def fetch_src(self, values: Tensor) -> Tensor:
         """Fetch source-node rows without counting a scatter call
         (used when the fetch is fused into an aggregation kernel)."""
-        return values[self.msg_src]
+        return F.gather_rows(values, self.src_index)
 
     def gather_edge_features(self, per_record: Tensor) -> Tensor:
-        """Align a per-edge-record tensor with the message list."""
-        return per_record[self.msg_edge]
+        """Align a per-edge-record tensor with the message list.
+
+        Raises :class:`~repro.errors.ShapeError` when a message has no
+        edge record (the global runtime's virtual pairs).
+        """
+        return F.gather_rows(per_record, self.edge_index)
 
     def message_edge_types(self, edge_types: np.ndarray,
                            virtual_type: int = 0) -> np.ndarray:
@@ -94,21 +126,16 @@ class AggregationRuntime:
     def aggregate_sum(self, messages: Tensor) -> Tensor:
         """Segment-sum message rows onto destination nodes."""
         self.counters["gather"] += 1
-        return F.segment_sum(messages, self.msg_dst, self.num_nodes)
+        return F.segment_sum(messages, self.dst_index)
 
     def edge_softmax(self, scores: Tensor) -> Tensor:
         """Softmax of message scores grouped by destination node."""
         self.counters["gather"] += 1
-        return F.segment_softmax(scores, self.msg_dst, self.num_nodes)
-
-    def broadcast_to_edges(self, node_values: Tensor) -> Tensor:
-        """Fetch per-destination rows for each message (no counter: fused)."""
-        return node_values[self.msg_dst]
+        return F.segment_softmax(scores, self.dst_index)
 
     def readout_mean(self, node_values: Tensor) -> Tensor:
         """Per-graph mean over nodes (the readout's segment mean)."""
-        return F.segment_mean(node_values, self.batch.graph_ids,
-                              self.batch.num_graphs)
+        return F.segment_mean(node_values, self.graph_index)
 
 
 class BaselineRuntime(AggregationRuntime):

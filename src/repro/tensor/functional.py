@@ -3,14 +3,17 @@
 These cover the activations, losses, and — most importantly for a GNN
 library — the *segment* operations that implement message passing:
 ``gather_rows`` (node → edge scatter in the paper's terminology) and
-``segment_sum``/``segment_softmax`` (edge → node gather).
+``segment_sum``/``segment_softmax`` (edge → node gather).  They share
+one :class:`SegmentIndex` per id array, whose cached CSR incidence
+matrix turns every scatter into one structured product.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import ShapeError
 from repro.tensor.tensor import Tensor
@@ -158,70 +161,178 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # Gather / segment operations (the graph-operation substrate)
 # ----------------------------------------------------------------------
-def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+class SegmentIndex:
+    """Row → segment ids, with the segment layout built once and reused.
+
+    ``ids[r]`` names the segment row ``r`` belongs to (a message's
+    destination node, or the node row a gather fetches).  The ids are
+    validated on construction; everything derived from them — the
+    stable sort order, the per-segment counts and the CSR incidence
+    matrix — is built on first use and cached, so one index serves
+    every layer's forward and backward for a batch.
+
+    The incidence matrix has shape (segments × rows) with a one at
+    ``(ids[r], r)``; within each segment its columns ascend.  Multiplying
+    it by a dense array adds every segment's rows in ascending row order
+    starting from 0.0 — exactly what ``np.add.at`` does — so
+    :meth:`sum` is bit-identical to it.  ``segment_sum`` is this product
+    and ``gather_rows`` is its transpose, so the gather's backward is the
+    same product.
+    """
+
+    __slots__ = ("ids", "num_segments", "_order", "_indptr", "_incidence")
+
+    def __init__(self, ids: np.ndarray, num_segments: int):
+        ids = np.asarray(ids, dtype=np.int64)
+        num_segments = int(num_segments)
+        if ids.ndim != 1:
+            raise ShapeError(f"segment ids must be 1-D, got shape {ids.shape}")
+        if num_segments < 0 or (ids.size and (
+                ids.min() < 0 or ids.max() >= num_segments)):
+            raise ShapeError(f"segment ids out of range [0, {num_segments})")
+        self.ids = ids
+        self.num_segments = num_segments
+        self._order: Optional[np.ndarray] = None
+        self._indptr: Optional[np.ndarray] = None
+        self._incidence: Dict[np.dtype, sparse.csr_array] = {}
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def order(self) -> np.ndarray:
+        """Rows grouped by segment; stable, so each group stays ascending."""
+        if self._order is None:
+            self._order = np.argsort(self.ids, kind="stable")
+        return self._order
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Segment ``s`` owns ``order[indptr[s]:indptr[s + 1]]``."""
+        if self._indptr is None:
+            counts = np.bincount(self.ids, minlength=self.num_segments)
+            self._indptr = np.concatenate(([0], np.cumsum(counts)))
+        return self._indptr
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Rows per segment."""
+        return np.diff(self.indptr)
+
+    def incidence(self, dtype) -> sparse.csr_array:
+        """The (segments × rows) 0/1 matrix, with ones of ``dtype``."""
+        dtype = np.dtype(dtype)
+        matrix = self._incidence.get(dtype)
+        if matrix is None:
+            matrix = sparse.csr_array(
+                (np.ones(len(self.ids), dtype=dtype), self.order, self.indptr),
+                shape=(self.num_segments, len(self.ids)))
+            self._incidence[dtype] = matrix
+        return matrix
+
+    def _check_rows(self, values: np.ndarray) -> None:
+        if values.shape[0] != len(self.ids):
+            raise ShapeError(
+                f"segment_ids length {len(self.ids)} != rows {values.shape[0]}")
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-segment row sums, bit-identical to ``np.add.at``."""
+        self._check_rows(values)
+        width = int(np.prod(values.shape[1:], dtype=np.int64))
+        out = self.incidence(values.dtype) @ values.reshape(len(self.ids), width)
+        return out.reshape((self.num_segments,) + values.shape[1:])
+
+    def max(self, values: np.ndarray, fill: float) -> np.ndarray:
+        """Per-segment row maxima, floored at ``fill`` (``fill`` if empty)."""
+        self._check_rows(values)
+        out = np.full((self.num_segments,) + values.shape[1:], fill,
+                      dtype=values.dtype)
+        filled = np.flatnonzero(self.counts)
+        if filled.size:
+            peaks = np.maximum.reduceat(values[self.order],
+                                        self.indptr[filled], axis=0)
+            out[filled] = np.maximum(out[filled], peaks)
+        return out
+
+
+def _as_index(segment_ids, num_segments: Optional[int]) -> SegmentIndex:
+    """Wrap raw ids in a :class:`SegmentIndex`; pass an index through."""
+    if not isinstance(segment_ids, SegmentIndex):
+        if num_segments is None:
+            raise ShapeError("num_segments is required with raw segment ids")
+        return SegmentIndex(segment_ids, num_segments)
+    if num_segments is not None and num_segments != segment_ids.num_segments:
+        raise ShapeError(f"index has {segment_ids.num_segments} segments, "
+                         f"not {num_segments}")
+    return segment_ids
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
     """Select rows ``x[index]`` with accumulating backward.
 
     This is the "scatter to edges" primitive: fetching source/destination
-    node embeddings for every edge.  Indices may repeat.
+    node embeddings for every edge.  Indices may repeat.  ``index`` is a
+    :class:`SegmentIndex` over ``len(x)`` segments or raw row ids; the
+    backward is the segment sum of the output gradient.
     """
-    index = np.asarray(index, dtype=np.int64)
-    return x[index]
+    index = _as_index(index, len(x))
+    out_data = x.data[index.ids]
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(index.sum(grad))
+
+    return Tensor._make(out_data, (x,), backward)
 
 
-def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(x: Tensor, segment_ids, num_segments: Optional[int] = None
+                ) -> Tensor:
     """Sum rows of ``x`` into ``num_segments`` buckets.
 
     This is the "gather to nodes" primitive: reducing edge messages onto
-    destination nodes.  ``segment_ids`` need not be sorted.
+    destination nodes.  ``segment_ids`` (a :class:`SegmentIndex`, or raw
+    ids plus ``num_segments``) need not be sorted.
     """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.shape[0] != x.shape[0]:
-        raise ShapeError(
-            f"segment_ids length {segment_ids.shape[0]} != rows {x.shape[0]}")
-    out_shape = (num_segments,) + x.shape[1:]
-    out_data = np.zeros(out_shape, dtype=x.data.dtype)
-    np.add.at(out_data, segment_ids, x.data)
+    index = _as_index(segment_ids, num_segments)
+    out_data = index.sum(x.data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad[segment_ids])
+        x._accumulate(grad[index.ids])
 
     return Tensor._make(out_data, (x,), backward)
 
 
-def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(x.data.dtype)
-    counts = np.maximum(counts, 1.0)
-    total = segment_sum(x, segment_ids, num_segments)
+def segment_mean(x: Tensor, segment_ids, num_segments: Optional[int] = None
+                 ) -> Tensor:
+    index = _as_index(segment_ids, num_segments)
+    counts = np.maximum(index.counts.astype(x.data.dtype), 1.0)
+    total = segment_sum(x, index)
     return total * Tensor(1.0 / counts.reshape((-1,) + (1,) * (x.ndim - 1)))
 
 
-def segment_max(x: Tensor, segment_ids: np.ndarray, num_segments: int,
+def segment_max(x: Tensor, segment_ids, num_segments: Optional[int] = None,
                 fill: float = -1e30) -> Tensor:
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_shape = (num_segments,) + x.shape[1:]
-    out_data = np.full(out_shape, fill, dtype=x.data.dtype)
-    np.maximum.at(out_data, segment_ids, x.data)
+    index = _as_index(segment_ids, num_segments)
+    out_data = index.max(x.data, fill)
 
     def backward(grad: np.ndarray) -> None:
-        mask = (x.data == out_data[segment_ids])
+        mask = (x.data == out_data[index.ids])
         # Split ties evenly within each segment.
-        tie_counts = np.zeros(out_shape, dtype=x.data.dtype)
-        np.add.at(tie_counts, segment_ids, mask.astype(x.data.dtype))
-        tie_counts = np.maximum(tie_counts, 1.0)
-        x._accumulate(mask * grad[segment_ids] / tie_counts[segment_ids])
+        tie_counts = np.maximum(index.sum(mask.astype(x.data.dtype)), 1.0)
+        x._accumulate(mask * grad[index.ids] / tie_counts[index.ids])
 
     return Tensor._make(out_data, (x,), backward)
 
 
-def segment_softmax(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_softmax(x: Tensor, segment_ids,
+                    num_segments: Optional[int] = None) -> Tensor:
     """Softmax over rows of ``x`` grouped by segment (attention weights)."""
-    seg_max = segment_max(x, segment_ids, num_segments)
-    shifted = x - seg_max[np.asarray(segment_ids, dtype=np.int64)]
+    index = _as_index(segment_ids, num_segments)
+    seg_max = segment_max(x, index)
+    shifted = x - gather_rows(seg_max, index)
     exp = shifted.exp()
-    denom = segment_sum(exp, segment_ids, num_segments)
+    denom = segment_sum(exp, index)
     denom_safe = denom + 1e-16
-    return exp / denom_safe[np.asarray(segment_ids, dtype=np.int64)]
+    return exp / gather_rows(denom_safe, index)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.tensor import functional as F
 from repro.tensor import init
 from repro.tensor.tensor import Tensor
 
@@ -220,11 +221,8 @@ class Embedding(Module):
                                 name="weight")
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
-            raise ShapeError(
-                f"embedding ids out of range [0, {self.num_embeddings})")
-        return self.weight[ids]
+        """Rows of the table; ids outside it raise :class:`ShapeError`."""
+        return F.gather_rows(self.weight, ids)
 
 
 class Dropout(Module):
@@ -266,8 +264,6 @@ class MLP(Module):
     def __init__(self, in_dim: int, hidden_dim: int, out_dim: int,
                  num_layers: int = 2, rng: Optional[np.random.Generator] = None):
         super().__init__()
-        from repro.tensor import functional as F
-        self._relu = F.relu
         rng = rng or np.random.default_rng(0)
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
         self.linears: List[Linear] = []
@@ -278,5 +274,5 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.linears[:-1]:
-            x = self._relu(layer(x))
+            x = F.relu(layer(x))
         return self.linears[-1](x)

@@ -134,7 +134,10 @@ class Tensor:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            # An interior gradient is only read, by this node's backward,
+            # so it may alias the incoming array.  A leaf keeps a private
+            # copy: optimisers and ``clip_grad_norm`` update it in place.
+            self.grad = grad if self._parents else grad.copy()
         else:
             self.grad = self.grad + grad
 
@@ -147,7 +150,7 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad, self.data.dtype)
+            grad = np.array(grad, dtype=self.data.dtype)  # the caller's copy
             if grad.shape != self.shape:
                 raise ShapeError(
                     f"backward seed shape {grad.shape} != tensor shape {self.shape}")

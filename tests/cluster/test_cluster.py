@@ -227,6 +227,19 @@ class TestInputValidation:
         with pytest.raises(ClusterError, match="invalid-request"):
             result.response_for(4)
 
+    def test_empty_graph_fails_alone(self, make_cluster, pool):
+        empty = Graph(0, [], [], node_features=np.zeros(0, np.int64),
+                      edge_features=np.zeros(0, np.int64))
+        graphs = [pool[0], empty, pool[1]]
+        requests = [InferenceRequest(request_id=i, graph=g,
+                                     submitted_s=0.001 * (i + 1))
+                    for i, g in enumerate(graphs)]
+        stats = make_cluster().run(requests, retry_policy=RETRY).stats
+        assert stats.served == 2
+        assert stats.received == stats.served + stats.failed + stats.shed
+        assert [(f.request_id, f.reason) for f in stats.failures] == \
+            [(1, "invalid-request")]
+
     def test_mixed_stream_replays_byte_identically(self, make_cluster,
                                                    pool):
         runs = [make_cluster().run(self._mixed_requests(pool),

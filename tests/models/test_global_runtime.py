@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_dataset
+from repro.errors import ShapeError
 from repro.graph.batch import GraphBatch
 from repro.models import (
     GatedGCN,
@@ -11,6 +12,7 @@ from repro.models import (
     GraphTransformer,
     ModelConfig,
 )
+from repro.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +63,16 @@ class TestMessageList:
         real = rt.msg_edge >= 0
         assert np.all(out[~real] == virtual)
         assert np.all(out[real] < virtual)
+
+    def test_gather_edge_features_rejects_virtual_pairs(self, setting):
+        # Virtual pairs have no edge record (msg_edge == -1); gathering
+        # per-record rows for them fails typed instead of wrapping to
+        # the last record.
+        _, batch = setting
+        rt = GlobalAttentionRuntime(batch)
+        per_record = Tensor(np.ones((batch.num_edges, 2)))
+        with pytest.raises(ShapeError, match="out of range"):
+            rt.gather_edge_features(per_record)
 
 
 class TestModelsUnderGlobalAttention:

@@ -5,9 +5,12 @@ import pytest
 
 from repro.core.config import MegaConfig
 from repro.core.path import PathRepresentation
+from repro.datasets import load_dataset
 from repro.errors import GraphError
 from repro.graph.batch import GraphBatch
 from repro.graph.generators import molecular_like, ring_graph
+from repro.graph.graph import Graph
+from repro.models import GraphTransformer, ModelConfig
 from repro.models.runtime import BaselineRuntime, MegaRuntime
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -180,3 +183,50 @@ class TestOps:
         per_record = Tensor(np.arange(b.num_edges, dtype=float).reshape(-1, 1))
         out = rt.gather_edge_features(per_record).data
         assert np.allclose(out.ravel(), rt.msg_edge)
+
+
+class TestSegmentIndexes:
+    def test_forward_only_builds_no_src_incidence(self):
+        ds = load_dataset("ZINC", scale=0.005)
+        b = GraphBatch(ds.train[:4])
+        rt = BaselineRuntime(b)
+        model = GraphTransformer(ModelConfig.for_dataset(ds, hidden_dim=8,
+                                                         num_layers=2))
+        model.eval()
+        model(b, rt)
+        # Gathers read the ids alone; only the reductions (and a
+        # backward) need an incidence matrix.
+        assert not rt.src_index._incidence
+        assert rt.dst_index._incidence
+
+    def test_indexes_are_built_once_per_runtime(self, batch):
+        b, _ = batch
+        rt = BaselineRuntime(b)
+        assert rt.dst_index is rt.dst_index
+        assert np.array_equal(rt.dst_index.ids, rt.msg_dst)
+        assert rt.graph_index.num_segments == b.num_graphs
+
+
+class TestNoMessages:
+    """Batches of edgeless single-node graphs have empty message
+    arrays: the empty incidence gives zero sums and training still runs."""
+
+    @pytest.mark.parametrize("method", ["baseline", "mega"])
+    def test_training_step_without_messages(self, method):
+        graphs = [Graph(1, [], [], node_features=np.array([i]),
+                        edge_features=np.zeros(0, np.int64), label=1.0)
+                  for i in range(3)]
+        batch = GraphBatch(graphs)
+        rt = (BaselineRuntime(batch) if method == "baseline"
+              else mega_runtime(batch, graphs))
+        assert rt.num_messages == 0
+        sums = rt.aggregate_sum(Tensor(np.ones((0, 4))))
+        assert sums.shape == (3, 4) and not sums.data.any()
+        model = GraphTransformer(ModelConfig(
+            hidden_dim=8, num_layers=2, num_node_types=3, num_edge_types=1))
+        out = model(batch, rt)
+        model.loss(out, np.ones(3)).backward()
+        assert np.isfinite(out.data).all()
+        assert model.node_encoder.weight.grad is not None
+        assert all(np.isfinite(p.grad).all() for p in model.parameters()
+                   if p.grad is not None)

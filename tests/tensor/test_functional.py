@@ -179,6 +179,58 @@ class TestSegmentOps:
         assert np.allclose(lhs, rhs)
 
 
+class TestSegmentIds:
+    """Ids outside [0, num_segments) fail typed instead of wrapping."""
+
+    @pytest.mark.parametrize("ids", [[0, 1, -1], [0, 1, 3]],
+                             ids=["negative", "past-end"])
+    @pytest.mark.parametrize("op", [F.segment_sum, F.segment_max,
+                                    F.segment_mean, F.segment_softmax])
+    def test_out_of_range_ids_rejected(self, op, ids):
+        with pytest.raises(ShapeError, match="out of range"):
+            op(Tensor(np.ones(3)), np.array(ids), 3)
+
+    def test_gather_out_of_range_rejected(self):
+        x = Tensor(np.ones((3, 2)))
+        for ids in ([0, -1], [3]):
+            with pytest.raises(ShapeError, match="out of range"):
+                F.gather_rows(x, np.array(ids))
+
+    def test_non_1d_ids_rejected(self):
+        with pytest.raises(ShapeError, match="1-D"):
+            F.segment_sum(Tensor(np.ones(4)), np.zeros((2, 2), np.int64), 1)
+        with pytest.raises(ShapeError, match="1-D"):
+            F.SegmentIndex(np.int64(0), 1)
+
+    def test_index_must_match_table(self):
+        index = F.SegmentIndex(np.array([0, 1]), 2)
+        with pytest.raises(ShapeError):
+            F.gather_rows(Tensor(np.ones((3, 2))), index)
+        with pytest.raises(ShapeError):
+            F.segment_sum(Tensor(np.ones(2)), index, 3)
+        with pytest.raises(ShapeError):
+            F.segment_sum(Tensor(np.ones(3)), index)
+
+    def test_no_rows_gives_zero_sums(self):
+        index = F.SegmentIndex(np.array([], np.int64), 3)
+        x = Tensor(np.ones((0, 2)), requires_grad=True)
+        out = F.segment_sum(x, index)
+        assert out.shape == (3, 2) and not out.data.any()
+        out.sum().backward()
+        assert x.grad.shape == (0, 2)
+        assert np.array_equal(F.segment_max(x, index, fill=-7.0).data,
+                              np.full((3, 2), -7.0))
+
+    def test_index_layout_is_built_on_first_use(self):
+        index = F.SegmentIndex(np.array([2, 0, 2, 1]), 4)
+        assert index._order is None and not index._incidence
+        assert np.array_equal(index.counts, [1, 1, 2, 0])
+        assert np.array_equal(index.order, [1, 3, 0, 2])
+        dense = index.incidence(np.float32).toarray()
+        assert dense.dtype == np.float32
+        assert np.array_equal(dense, np.arange(4)[:, None] == index.ids)
+
+
 class TestLosses:
     def test_mse_value(self):
         loss = F.mse_loss(Tensor([1.0, 2.0]), Tensor([0.0, 0.0]))

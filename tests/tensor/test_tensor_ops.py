@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.errors import ShapeError
-from repro.tensor import Tensor
+from repro.graph.batch import GraphBatch
+from repro.models import BaselineRuntime, GraphTransformer, ModelConfig
+from repro.tensor import Parameter, Tensor
+from repro.tensor.optim import SGD
 
 from tests.conftest import numeric_gradient
 
@@ -242,3 +246,42 @@ class TestGraphReuse:
             y = y + 0.001
         y.sum().backward()
         assert np.allclose(x.grad, [1.0])
+
+
+class TestGradientOwnership:
+    """Interior gradients may alias the arrays they came from; a leaf's
+    ``.grad`` and the root's seeded ``.grad`` are always private."""
+
+    def test_parameters_never_share_a_grad_buffer(self):
+        ds = load_dataset("ZINC", scale=0.005)
+        batch = GraphBatch(ds.train[:4])
+        model = GraphTransformer(ModelConfig.for_dataset(ds, hidden_dim=8,
+                                                         num_layers=2))
+        model.loss(model(batch, BaselineRuntime(batch)),
+                   batch.labels).backward()
+        grads = [p.grad for p in model.parameters() if p.grad is not None]
+        assert len(grads) > 10
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.may_share_memory(a, b)
+
+    def test_clip_grad_norm_scales_only_its_own_grads(self):
+        a = Parameter(np.ones(3))
+        b = Parameter(np.ones(3))   # not handed to the optimiser
+        h = a + b                   # both parents receive h's gradient
+        (h * 2.0).sum().backward()
+        assert not np.may_share_memory(a.grad, b.grad)
+        before_b, before_h = b.grad.copy(), h.grad.copy()
+        SGD([a], lr=0.1).clip_grad_norm(1e-3)
+        assert np.allclose(np.linalg.norm(a.grad), 1e-3)
+        assert np.array_equal(b.grad, before_b)
+        assert np.array_equal(h.grad, before_h)
+
+    @pytest.mark.parametrize("leaf_root", [True, False])
+    def test_seed_is_copied(self, leaf_root):
+        x = Tensor(np.ones(3), requires_grad=True)
+        root = x if leaf_root else x * 2.0
+        seed = np.full(3, 0.5)
+        root.backward(seed)
+        seed[:] = 7.0
+        assert np.array_equal(root.grad, np.full(3, 0.5))

@@ -26,8 +26,9 @@ import ast
 
 from tools.megalint.registry import Rule, register
 
-_HINT = ("use numpy ufuncs / segment primitives (np.add.at, "
-         "gather_rows, segment_sum) or suppress with a justification")
+_HINT = ("use numpy ufuncs / the segment primitives (gather_rows, "
+         "segment_sum over a SegmentIndex) or suppress with a "
+         "justification")
 
 
 @register
